@@ -14,8 +14,8 @@ from .series import (LaurentPoly, TruncatedSeries, check_f_closed_form, coeffici
 from .trees import (Bracketing, Tree, all_bracketings, bracketing_to_tree, concat,
                     corolla, count_K, dim_tree, enumerate_Kr, parse_tree,
                     root_decompose, tree_to_bracketing, tree_to_text)
-from .twoassoc import (SearchSpaceError, TwoBracket, TwoBracketing, count_W,
-                       dim_2concat, enumerate_Wn, forgetful_map, removables,
+from .twoassoc import (SearchSpaceError, TwoBracket, TwoBracketing, VerificationError,
+                       count_W, dim_2concat, enumerate_Wn, forgetful_map, removables,
                        restrict_to_bracket, top_element, top_rank,
                        validate_two_bracketing)
 from .audit import (AuditReport, audit_counts, audit_desk, audit_eulerian,
@@ -27,6 +27,7 @@ __all__ = [
     "AuditReport", "Bracketing", "CdPolynomial", "EulerianReport", "FlagVector",
     "LaurentPoly", "NonEulerianError", "PosetError", "RankedPoset",
     "SearchSpaceError", "Tree", "TruncatedSeries", "TwoBracket", "TwoBracketing",
+    "VerificationError",
     "ab_index", "all_bracketings", "audit_counts", "audit_desk", "audit_eulerian",
     "audit_identities", "bracketing_to_tree", "cd_index", "check_f_closed_form",
     "coefficient", "concat", "corolla", "count_K", "count_W", "dim_2concat",

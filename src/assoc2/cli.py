@@ -13,7 +13,6 @@ import json
 import sys
 
 from . import audit as au
-from . import cache as ca
 from . import poset as ps
 from . import series as se
 from . import trees as tr
@@ -45,8 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="assoc2",
                                 description="Exact face-poset engine for associahedra "
                                             "and 2-associahedra")
-    p.add_argument("--cache-dir", default=None,
-                   help=f"count cache directory (or ${ca.ENV_CACHE_DIR})")
     sub = p.add_subparsers(dest="command", required=True)
 
     assoc = sub.add_parser("assoc", help="associahedron operations")
@@ -205,10 +202,6 @@ def main(argv=None, out=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        hook = ca.cache_from_env(args.cache_dir)
-        if hook is not None:
-            tr.set_count_cache(hook)
-            ta.set_count_cache(hook)
         if args.command == "assoc":
             return cmd_assoc_enumerate(args, out)
         if args.command == "wn":
@@ -230,7 +223,7 @@ def main(argv=None, out=None) -> int:
     except (ValueError, ta.SearchSpaceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ps.NonEulerianError as exc:
+    except (ps.NonEulerianError, ta.VerificationError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_FAIL
 

@@ -11,6 +11,7 @@ depends on strictly smaller degrees, so D rounds stabilize exactly.
 from __future__ import annotations
 
 import json
+from functools import cache
 from typing import Mapping
 
 from .trees import Tree, dim_tree, root_decompose, tree_to_text
@@ -227,8 +228,8 @@ def solve_f(max_degree: int) -> TruncatedSeries:
         if f_new == f:
             break
         f = f_new
-    assert f == x + (f * f) * geometric_inverse(f.scaled(LaurentPoly.term(1, 1))), \
-        "fixed point failed to stabilize"
+    if f != x + (f * f) * geometric_inverse(f.scaled(LaurentPoly.term(1, 1))):
+        raise ArithmeticError("solve_f: fixed point failed to stabilize")
     _validate_counts(f, "solve_f")
     return f
 
@@ -259,9 +260,7 @@ def _check_f_closed_form_of(f: TruncatedSeries) -> tuple[bool, tuple | None]:
     return False, bad
 
 
-_F_CACHE: dict[tuple[str, int], TruncatedSeries] = {}
-
-
+@cache
 def solve_F(tree: Tree, max_degree: int) -> TruncatedSeries:
     """Fixed point of the per-tree counting equation.
 
@@ -275,11 +274,6 @@ def solve_F(tree: Tree, max_degree: int) -> TruncatedSeries:
     """
     if max_degree < 1:
         raise ValueError("need max_degree >= 1")
-    key = (tree_to_text(tree), max_degree)
-    cached = _F_CACHE.get(key)
-    if cached is not None:
-        return cached
-
     r = tree.leaf_count()
     p = dim_tree(tree)
     if r == 1:
@@ -307,12 +301,13 @@ def solve_F(tree: Tree, max_degree: int) -> TruncatedSeries:
             F = F_new
         vert = (F * F).scaled(LaurentPoly.term(1, -p)) \
             * geometric_inverse(F.scaled(LaurentPoly.term(1, 1 - p)))
-        assert F == vert + H, "fixed point failed to stabilize"
+        if F != vert + H:
+            raise ArithmeticError(f"solve_F({tree_to_text(tree)}): "
+                                  "fixed point failed to stabilize")
 
     if F.terms.get((0,) * r):
         raise ArithmeticError("solve_F produced a constant term; W_n requires n != 0")
-    _validate_counts(F, f"solve_F({key[0]})")
-    _F_CACHE[key] = F
+    _validate_counts(F, f"solve_F({tree_to_text(tree)})")
     return F
 
 

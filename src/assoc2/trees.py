@@ -8,7 +8,7 @@ of (1..r): non-singleton brackets correspond to leaf sets of internal nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 from .poset import RankedPoset
 
@@ -246,43 +246,19 @@ def enumerate_Kr(r: int) -> RankedPoset:
 
 # --- the count recurrence ---
 
-_count_memo: dict[tuple[int, int], int] = {}
-_cache_hook = None  # optional persistent cache, set by the CLI
-
-
-def set_count_cache(hook) -> None:
-    global _cache_hook
-    _cache_hook = hook
-
-
+@cache
 def count_K(m: int, r: int) -> int:
     """Number of faces of K_r with dimension m, by the concatenation recurrence."""
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
     if m < 0:
         return 0
-    key = (m, r)
-    v = _count_memo.get(key)
-    if v is not None:
-        return v
-    if _cache_hook is not None:
-        v = _cache_hook.get_K(m, r)
-        if v is not None:
-            _count_memo[key] = v
-            return v
     if r == 1:
-        v = 1 if m == 0 else 0
-    else:
-        v = 0
-        for k in range(2, min(r, m + 2) + 1):
-            v += _count_K_parts(k, m - k + 2, r)
-    _count_memo[key] = v
-    if _cache_hook is not None:
-        _cache_hook.put_K(m, r, v)
-    return v
+        return 1 if m == 0 else 0
+    return sum(_count_K_parts(k, m - k + 2, r) for k in range(2, min(r, m + 2) + 1))
 
 
-@lru_cache(maxsize=None)
+@cache
 def _count_K_parts(k: int, m: int, r: int) -> int:
     """Sum over k-tuples with dims summing to m and leaf counts to r."""
     if m < 0 or r < k:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, cmp_to_key
 
 from .poset import RankedPoset
 from .trees import (Bracketing, Tree, all_bracketings, bracketing_to_tree, count_K,
@@ -349,8 +349,6 @@ def validate_two_bracketing(tb: TwoBracketing) -> bool:
 
 def _stack_ordered(group: list[TwoBracket]) -> bool:
     """Pairwise strict vertical order that is acyclic (hence a total order)."""
-    import functools
-
     def cmp(x, y):
         o = _tb_oriented(x, y)
         if o == "below":
@@ -359,7 +357,7 @@ def _stack_ordered(group: list[TwoBracket]) -> bool:
             return 1
         return 0
 
-    ordered = sorted(group, key=functools.cmp_to_key(cmp))
+    ordered = sorted(group, key=cmp_to_key(cmp))
     for i, x in enumerate(ordered):
         for y in ordered[i + 1:]:
             if _tb_oriented(x, y) != "below":
@@ -419,7 +417,7 @@ def restrict_to_bracket(tb: TwoBracketing, b: tuple[int, int]) -> TwoBracketing:
     brackets = frozenset({(1, s)}) if s >= 2 else frozenset()
     out = TwoBracketing(sub_n, brackets, frozenset(kept))
     if not validate_two_bracketing(out):
-        raise AssertionError(f"restriction to {b} produced an invalid 2-bracketing")
+        raise VerificationError(f"restriction to {b} produced an invalid 2-bracketing")
     return out
 
 
@@ -427,6 +425,14 @@ def restrict_to_bracket(tb: TwoBracketing, b: tuple[int, int]) -> TwoBracketing:
 
 class SearchSpaceError(ValueError):
     """The configured element bound would be exceeded."""
+
+
+class VerificationError(Exception):
+    """A constructed face or poset broke an invariant the engine checks.
+
+    Deliberately not a ValueError: it reports a fault of the engine, not bad
+    input, and the CLI maps it to exit status 1.
+    """
 
 
 def _shift(tbs: frozenset[TwoBracket], line_off: int,
@@ -471,9 +477,7 @@ def _vector_compositions(n: tuple[int, ...], parts: int):
     yield from rec(n, parts)
 
 
-_GEN_MEMO: dict[tuple[str, tuple[int, ...]], tuple] = {}
-
-
+@cache
 def _gen_fiber(tree: Tree, n: tuple[int, ...]):
     """All faces of W_n over `tree`, in local coordinates.
 
@@ -481,13 +485,10 @@ def _gen_fiber(tree: Tree, n: tuple[int, ...]):
     includes its own maximal 2-bracket, whose shift is exactly the screen
     enclosing it inside a larger face.
     """
-    key = (tree_to_text(tree), n)
-    cached = _GEN_MEMO.get(key)
-    if cached is not None:
-        return cached
-
     r = tree.leaf_count()
-    assert len(n) == r and any(n)
+    if len(n) != r or not any(n):
+        raise ValueError(f"fiber over {tree_to_text(tree)} needs a nonzero n "
+                         f"of length {r}, got {n}")
     out = []
     if r == 1:
         q = n[0]
@@ -550,11 +551,12 @@ def _gen_fiber(tree: Tree, n: tuple[int, ...]):
                         line_off += w
                     out.append((frozenset(two), d))
 
-    assert len({fs for fs, _ in out}) == len(out), f"duplicate faces in fiber over {key}"
-    assert all(d >= 0 for _, d in out), f"negative dimension in fiber over {key}"
-    result = tuple(out)
-    _GEN_MEMO[key] = result
-    return result
+    where = f"fiber over ({tree_to_text(tree)}, {n})"
+    if len({fs for fs, _ in out}) != len(out):
+        raise VerificationError(f"duplicate faces in {where}")
+    if any(d < 0 for _, d in out):
+        raise VerificationError(f"negative dimension in {where}")
+    return tuple(out)
 
 
 DEFAULT_MAX_ELEMENTS = 100_000
@@ -589,15 +591,15 @@ def enumerate_Wn(n, max_elements: int = DEFAULT_MAX_ELEMENTS) -> RankedPoset:
         for fs, d in _gen_fiber(tree, n):
             tb = TwoBracketing(n, kb.brackets, fs)
             if not validate_two_bracketing(tb):
-                raise AssertionError(f"enumerated face fails validation: {tb.label()}")
+                raise VerificationError(f"enumerated face fails validation: {tb.label()}")
             lab = tb.label()
             if lab in ranked:
-                raise AssertionError(f"duplicate face across fibers: {lab}")
+                raise VerificationError(f"duplicate face across fibers: {lab}")
             ranked[lab] = d
             objects[lab] = tb
             pi_of[lab] = tree_to_text(tree)
     if len(ranked) != expected:
-        raise AssertionError(f"enumerated {len(ranked)} faces, count oracle says {expected}")
+        raise VerificationError(f"enumerated {len(ranked)} faces, count oracle says {expected}")
 
     def leq(x: str, y: str) -> bool:
         a, b = objects[x], objects[y]
@@ -609,24 +611,15 @@ def enumerate_Wn(n, max_elements: int = DEFAULT_MAX_ELEMENTS) -> RankedPoset:
 
     top = top_element(n).label()
     if poset.unique_max() != top or poset.rank_of(top) != top_rank(n):
-        raise AssertionError("unique maximum is not the forced-core element at |n|+r-3")
+        raise VerificationError("unique maximum is not the forced-core element at |n|+r-3")
     if any(poset.rank_of(m) != 0 for m in poset.minimal_elements()):
-        raise AssertionError("a minimal face has nonzero rank")
+        raise VerificationError("a minimal face has nonzero rank")
     if max_elements == DEFAULT_MAX_ELEMENTS:
         _ENUM_CACHE[n] = poset
     return poset
 
 
 # --- the count recurrence (second oracle) ---
-
-_FIBER_POLY_MEMO: dict[tuple[str, tuple[int, ...]], dict[int, int]] = {}
-_cache_hook = None
-
-
-def set_count_cache(hook) -> None:
-    global _cache_hook
-    _cache_hook = hook
-
 
 def count_W(tree: Tree, m: int, n) -> int:
     """Faces of W_n over `tree` with dimension m, by the concatenation recurrence."""
@@ -635,14 +628,7 @@ def count_W(tree: Tree, m: int, n) -> int:
         raise ValueError(f"tree has {tree.leaf_count()} leaves but n has {len(n)} entries")
     if m < 0:
         return 0
-    if _cache_hook is not None:
-        v = _cache_hook.get_W(tree_to_text(tree), m, n)
-        if v is not None:
-            return v
-    v = _fiber_poly(tree, n).get(m, 0)
-    if _cache_hook is not None:
-        _cache_hook.put_W(tree_to_text(tree), m, n, v)
-    return v
+    return _fiber_poly(tree, n).get(m, 0)
 
 
 def _convolve(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
@@ -654,13 +640,9 @@ def _convolve(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     return out
 
 
+@cache
 def _fiber_poly(tree: Tree, n: tuple[int, ...]) -> dict[int, int]:
     """Dimension-indexed face counts of the fiber of W_n over `tree`."""
-    key = (tree_to_text(tree), n)
-    cached = _FIBER_POLY_MEMO.get(key)
-    if cached is not None:
-        return cached
-
     r = tree.leaf_count()
     if r == 1:
         out = {}
@@ -724,8 +706,6 @@ def _fiber_poly(tree: Tree, n: tuple[int, ...]) -> dict[int, int]:
                 m = s + shift
                 if m >= 0:
                     out[m] = out.get(m, 0) + c
-
-    _FIBER_POLY_MEMO[key] = out
     return out
 
 
@@ -749,6 +729,6 @@ def dim_2concat(p_list, a_vec, P_matrix) -> int:
     return total - sum((a - 1) * p for a, p in zip(a_vec, p_list)) + sum(a_vec) + k - 3
 
 
-@lru_cache(maxsize=None)
+@cache
 def trees_of_Kr(r: int) -> tuple[Tree, ...]:
     return tuple(bracketing_to_tree(b) for b in all_bracketings(r))

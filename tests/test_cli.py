@@ -1,20 +1,9 @@
 import io
 import json
-import os
 
-import pytest
-
-from assoc2 import cli
+from assoc2 import cli, twoassoc
 from assoc2.poset import RankedPoset
 from assoc2.twoassoc import enumerate_Wn
-
-
-@pytest.fixture(autouse=True)
-def _reset_cache_hooks():
-    yield
-    from assoc2 import trees, twoassoc
-    trees.set_count_cache(None)
-    twoassoc.set_count_cache(None)
 
 
 def run(argv):
@@ -102,36 +91,28 @@ def test_cd_index_commands():
     assert doc["cd_index"] == {"cc": 1, "d": 6}
 
 
-def test_cache_warm_and_cold_runs_are_byte_identical(tmp_path):
-    cache_dir = str(tmp_path / "cache")
-    args = ["--cache-dir", cache_dir, "counts", "--n", "2,1"]
-    code1, cold = run(args)
-    assert code1 == 0
-    assert os.path.exists(os.path.join(cache_dir, "counts.jsonl"))
-    code2, warm = run(args)
-    assert code2 == 0 and warm == cold
+def test_cache_env_variable_is_ignored(tmp_path, monkeypatch):
+    _, plain = run(["counts", "--n", "2,1"])
+    monkeypatch.setenv("ASSOC2_CACHE_DIR", str(tmp_path / "envcache"))
+    code, out = run(["counts", "--n", "2,1"])
+    assert code == 0 and out == plain
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_cache_ignores_corrupted_lines(tmp_path, caplog):
-    cache_dir = tmp_path / "cache"
-    cache_dir.mkdir()
-    path = cache_dir / "counts.jsonl"
-    path.write_text('{"kind": "K", "m": 0, "r": 1, "value": "1"}\n'
-                    "not json at all\n"
-                    '{"kind": "X", "m": 0}\n')
-    import logging
-    with caplog.at_level(logging.WARNING):
-        code, out = run(["--cache-dir", str(cache_dir), "counts", "--n", "1,1"])
-    assert code == 0 and "AGREE" in out
-    assert sum("ignoring corrupted cache line" in r.message for r in caplog.records) == 2
+def test_cache_dir_flag_is_rejected(tmp_path):
+    code, _ = run(["--cache-dir", str(tmp_path), "counts", "--n", "2,1"])
+    assert code == 2
 
 
-def test_cache_env_variable(tmp_path, monkeypatch):
-    cache_dir = tmp_path / "envcache"
-    monkeypatch.setenv("ASSOC2_CACHE_DIR", str(cache_dir))
-    code, _ = run(["counts", "--n", "1,1"])
-    assert code == 0
-    assert (cache_dir / "counts.jsonl").exists()
+def test_verification_error_is_one_line_exit_1(monkeypatch, capsys):
+    real = twoassoc.count_W
+    monkeypatch.setattr(twoassoc, "count_W", lambda *args: real(*args) + 1)
+    monkeypatch.setattr(twoassoc, "_ENUM_CACHE", {})
+    code, out = run(["wn", "enumerate", "--n", "2,1"])
+    assert code == 1 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("verification failure: enumerated ")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_audit_json_shape():

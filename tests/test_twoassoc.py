@@ -5,7 +5,7 @@ import pytest
 from assoc2.trees import (all_bracketings, bracketing_to_tree, corolla, count_K,
                           parse_tree, tree_to_text)
 from assoc2.series import coefficient, solve_F
-from assoc2.twoassoc import (SearchSpaceError, TwoBracket, TwoBracketing,
+from assoc2.twoassoc import (SearchSpaceError, TwoBracket, TwoBracketing, _gen_fiber,
                              check_nvector, count_W, dim_2concat, enumerate_Wn,
                              forced_two_brackets, forgetful_map, max_two_bracket,
                              point_singleton, removables, restrict_to_bracket,
@@ -193,6 +193,33 @@ def test_count_W_corolla2_values():
     assert count_W(c2, 0, (1, 1)) == 2
     assert count_W(c2, 1, (1, 1)) == 1
     assert count_W(c2, 5, (1, 1)) == 0
+
+
+def test_gen_fiber_rejects_mismatched_n():
+    with pytest.raises(ValueError):
+        _gen_fiber(corolla(2), (1,))
+
+
+def _reflect_lines(tb):
+    """Mirror a face of W_n to W_rev(n) by i -> r + 1 - i; vertical data stays."""
+    r = tb.r
+    brackets = frozenset((r + 1 - hi, r + 1 - lo) for lo, hi in tb.brackets)
+    two = frozenset(TwoBracket(r + 1 - x.hi, r + 1 - x.lo, x.extents[::-1])
+                    for x in tb.two_brackets)
+    return TwoBracketing(tb.n[::-1], brackets, two)
+
+
+@pytest.mark.parametrize("n", [(2, 1), (1, 2), (3, 1), (2, 1, 1), (1, 0, 2), (0, 2, 1),
+                               (3, 2)])
+def test_line_reflection_is_a_poset_isomorphism(n):
+    # checks the order relation itself, independently of every count oracle
+    P, Q = enumerate_Wn(n), enumerate_Wn(n[::-1])
+    objs = P.meta["objects"]
+    image = {lab: _reflect_lines(objs[lab]).label() for lab in P.labels}
+    assert sorted(image.values()) == sorted(Q.labels)
+    assert all(P.rank_of(lab) == Q.rank_of(image[lab]) for lab in P.labels)
+    covers = {(image[P.labels[i]], image[P.labels[j]]) for i, j in P.cover_pairs}
+    assert covers == {(Q.labels[i], Q.labels[j]) for i, j in Q.cover_pairs}
 
 
 def test_count_W_shape_mismatch():
