@@ -217,15 +217,13 @@ def main(argv=None, out=None) -> int:
         if args.command == "audit":
             return cmd_audit(args, out)
         raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, ta.SearchSpaceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ps.NonEulerianError, ta.VerificationError) as exc:
+    except (ps.NonEulerianError, ta.VerificationError, ArithmeticError) as exc:
+        # before ValueError: NonEulerianError is a PosetError, hence a ValueError
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    except (UsageError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -206,6 +206,16 @@ class RankedPoset:
                     bad.append((self.labels[i], self.labels[j], middles))
         return bad
 
+    def mobius_failures(self) -> list[tuple[str, str, int]]:
+        """Pairs x <= y with mu(x, y) != (-1)^(rank y - rank x), and their mu."""
+        bad = []
+        for i in range(len(self.labels)):
+            for j in _bits(self._up[i]):
+                mu = self._mobius_from(i, j)
+                if mu != (-1) ** (self.ranks[j] - self.ranks[i]):
+                    bad.append((self.labels[i], self.labels[j], mu))
+        return bad
+
     def mobius(self, x: str, y: str) -> int:
         """Moebius value via the memoized top-down recursion."""
         i, j = self._index[x], self._index[y]

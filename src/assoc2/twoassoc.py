@@ -500,7 +500,6 @@ def _gen_fiber(tree: Tree, n: tuple[int, ...]):
             out.append((frozenset(two), kb.dim))
     else:
         branches = root_decompose(tree)
-        k = len(branches)
         p = dim_tree(tree)
         p_i = [dim_tree(b) for b in branches]
         widths = [b.leaf_count() for b in branches]
@@ -516,8 +515,8 @@ def _gen_fiber(tree: Tree, n: tuple[int, ...]):
                     for (fs, _d), q in zip(combo, qs):
                         two.update(_shift(fs, 0, tuple(offs)))
                         offs = [o + v for o, v in zip(offs, q)]
-                    d = sum(dd for _fs, dd in combo) - (a - 1) * p + a - 2
-                    out.append((frozenset(two), d))
+                    dims = [[dd for _fs, dd in combo]]
+                    out.append((frozenset(two), dim_2concat([p], [a], dims)))
 
         # horizontal: per-branch stacks on the bracket-tree children
         blocks = []
@@ -538,18 +537,15 @@ def _gen_fiber(tree: Tree, n: tuple[int, ...]):
                     fiber_lists.append([_gen_fiber(child, q) for q in qs])
                 for combo in itertools.product(*[itertools.product(*fl) for fl in fiber_lists]):
                     two = {mx}
-                    d = sum(avec) + k - 3
                     line_off = 0
-                    for bi, (child_combo, qs) in enumerate(zip(combo, qs_by_branch)):
-                        w = widths[bi]
+                    for w, child_combo, qs in zip(widths, combo, qs_by_branch):
                         offs = [0] * w
-                        for (fs, dd), q in zip(child_combo, qs):
+                        for (fs, _d), q in zip(child_combo, qs):
                             two.update(_shift(fs, line_off, tuple(offs)))
                             offs = [o + v for o, v in zip(offs, q)]
-                            d += dd
-                        d -= (avec[bi] - 1) * p_i[bi]
                         line_off += w
-                    out.append((frozenset(two), d))
+                    dims = [[dd for _fs, dd in child_combo] for child_combo in combo]
+                    out.append((frozenset(two), dim_2concat(p_i, avec, dims)))
 
     where = f"fiber over ({tree_to_text(tree)}, {n})"
     if len({fs for fs, _ in out}) != len(out):
@@ -631,81 +627,64 @@ def count_W(tree: Tree, m: int, n) -> int:
     return _fiber_poly(tree, n).get(m, 0)
 
 
-def _convolve(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    out: dict[int, int] = {}
+def _convolve(a: dict[int, int], b: dict[int, int], shift: int = 0,
+              out: dict[int, int] | None = None) -> dict[int, int]:
+    """a * b * t^shift, added into `out` when given."""
+    out = {} if out is None else out
     for m1, c1 in a.items():
         for m2, c2 in b.items():
-            m = m1 + m2
+            m = m1 + m2 + shift
             out[m] = out.get(m, 0) + c1 * c2
+    return out
+
+
+def _splits(n: tuple[int, ...]):
+    """(q, n - q) for every nonzero sub-vector q <= n."""
+    for q in itertools.product(*[range(v + 1) for v in n]):
+        if any(q):
+            yield q, tuple(a - b for a, b in zip(n, q))
+
+
+@cache
+def _stacks(tree: Tree, n: tuple[int, ...]) -> dict[int, int]:
+    """Ordered stacks of fibers over `tree` filling n, t^(1 - d(tree)) per screen.
+
+    The sum over compositions n = q_1 + ... + q_a into a >= 1 nonzero parts
+    of prod_j t^(1 - d(tree)) fib(tree, q_j), by splitting off the first
+    screen; the empty stack makes _stacks(tree, 0) = 1.
+    """
+    if not any(n):
+        return {0: 1}
+    out: dict[int, int] = {}
+    for q, rest in _splits(n):
+        _convolve(_fiber_poly(tree, q), _stacks(tree, rest), 1 - dim_tree(tree), out)
     return out
 
 
 @cache
 def _fiber_poly(tree: Tree, n: tuple[int, ...]) -> dict[int, int]:
-    """Dimension-indexed face counts of the fiber of W_n over `tree`."""
-    r = tree.leaf_count()
-    if r == 1:
-        out = {}
-        for m in range(max(n[0] - 1, 1)):
-            c = count_K(m, n[0])
-            if c:
-                out[m] = c
-    else:
-        out = {}
-        branches = root_decompose(tree)
-        k = len(branches)
-        p = dim_tree(tree)
-        p_i = [dim_tree(b) for b in branches]
-        widths = [b.leaf_count() for b in branches]
+    """Dimension-indexed face counts of the fiber of W_n over `tree`.
 
-        for a in range(2, sum(n) + 1):
-            for qs in _vector_compositions(n, a):
-                conv = {0: 1}
-                for q in qs:
-                    conv = _convolve(conv, _fiber_poly(tree, q))
-                    if not conv:
-                        break
-                for s, c in conv.items():
-                    m = s - (a - 1) * p + a - 2
-                    if m >= 0:
-                        out[m] = out.get(m, 0) + c
-
-        blocks = []
-        pos = 0
-        for w in widths:
-            blocks.append(n[pos:pos + w])
-            pos += w
-        branch_polys: list[dict[int, dict[int, int]]] = []
-        for child, blk in zip(branches, blocks):
-            by_a: dict[int, dict[int, int]] = {}
-            if not any(blk):
-                by_a[0] = {0: 1}
-            else:
-                for a_i in range(1, sum(blk) + 1):
-                    acc: dict[int, int] = {}
-                    for qs in _vector_compositions(blk, a_i):
-                        conv = {0: 1}
-                        for q in qs:
-                            conv = _convolve(conv, _fiber_poly(child, q))
-                            if not conv:
-                                break
-                        for s, c in conv.items():
-                            acc[s] = acc.get(s, 0) + c
-                    if acc:
-                        by_a[a_i] = acc
-            branch_polys.append(by_a)
-
-        for avec in itertools.product(*[sorted(bp) for bp in branch_polys]):
-            conv = {0: 1}
-            for bp, a_i in zip(branch_polys, avec):
-                conv = _convolve(conv, bp[a_i])
-                if not conv:
-                    break
-            shift = -sum((a_i - 1) * pi for a_i, pi in zip(avec, p_i)) + sum(avec) + k - 3
-            for s, c in conv.items():
-                m = s + shift
-                if m >= 0:
-                    out[m] = out.get(m, 0) + c
+    Horizontal: t^(k-3) prod_i t^(p_i) _stacks(T_i, n_i) over the k branches
+    T_i of dimension p_i, where a pointless block n_i gives the empty stack.
+    Vertical: a first screen fib(T, q) = _fiber_poly(T, q) under a nonempty
+    stack of the rest, times t^-1.
+    """
+    if tree.is_leaf:
+        return {m: count_K(m, n[0]) for m in range(max(n[0] - 1, 1)) if count_K(m, n[0])}
+    branches = root_decompose(tree)
+    out = {len(branches) - 3: 1}
+    pos = 0
+    for child in branches:
+        w = child.leaf_count()
+        out = _convolve(out, _stacks(child, n[pos:pos + w]), dim_tree(child))
+        pos += w
+    for q, rest in _splits(n):
+        if any(rest):
+            _convolve(_fiber_poly(tree, q), _stacks(tree, rest), -1, out)
+    if any(m < 0 for m in out):
+        raise VerificationError(f"negative dimension in the recurrence over "
+                                f"({tree_to_text(tree)}, {n})")
     return out
 
 

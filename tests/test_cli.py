@@ -1,7 +1,10 @@
 import io
 import json
+from functools import cache
 
-from assoc2 import cli, twoassoc
+import pytest
+
+from assoc2 import cli, poset, series, twoassoc
 from assoc2.poset import RankedPoset
 from assoc2.twoassoc import enumerate_Wn
 
@@ -104,14 +107,37 @@ def test_cache_dir_flag_is_rejected(tmp_path):
     assert code == 2
 
 
-def test_verification_error_is_one_line_exit_1(monkeypatch, capsys):
+def _miscount_W(monkeypatch):
     real = twoassoc.count_W
     monkeypatch.setattr(twoassoc, "count_W", lambda *args: real(*args) + 1)
     monkeypatch.setattr(twoassoc, "_ENUM_CACHE", {})
-    code, out = run(["wn", "enumerate", "--n", "2,1"])
+    return ["wn", "enumerate", "--n", "2,1"], "enumerated "
+
+
+def _refuse_cd_index(monkeypatch):
+    def cd_index(P):
+        raise poset.NonEulerianError("ab-index has nonzero cd-rewriting remainder")
+    monkeypatch.setattr(poset, "cd_index", cd_index)
+    return ["cd-index", "--n", "1,1"], "ab-index "
+
+
+def _negate_geometric_inverse(monkeypatch):
+    real = series.geometric_inverse
+    minus_one = series.LaurentPoly.term(-1)
+    monkeypatch.setattr(series, "geometric_inverse", lambda u: real(u).scaled(minus_one))
+    # a fresh memo, so the broken solver neither reads nor leaves cached series
+    monkeypatch.setattr(series, "solve_F", cache(series.solve_F.__wrapped__))
+    return ["gf", "solve", "--max-degree", "4"], "solve_f"
+
+
+@pytest.mark.parametrize("breakage", [_miscount_W, _refuse_cd_index, _negate_geometric_inverse],
+                         ids=["VerificationError", "NonEulerianError", "ArithmeticError"])
+def test_verification_error_is_one_line_exit_1(breakage, monkeypatch, capsys):
+    argv, cause = breakage(monkeypatch)
+    code, out = run(argv)
     assert code == 1 and out == ""
     err = capsys.readouterr().err
-    assert err.startswith("verification failure: enumerated ")
+    assert err.startswith("verification failure: " + cause)
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 

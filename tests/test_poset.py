@@ -102,6 +102,34 @@ def test_eulerian_iff_mobius():
                 assert P.mobius(x, y) == (-1) ** (P.rank_of(y) - P.rank_of(x))
 
 
+def _label_level_mobius_failures(P):
+    """The Moebius criterion from the definition, over every pair of labels."""
+    mu = {}
+    for x in P.labels:
+        for y in sorted(P.labels, key=P.rank_of):
+            if P.leq(x, y):
+                mu[x, y] = 1 if x == y else -sum(mu[x, z] for z in P.labels
+                                                 if (x, z) in mu and z != y and P.leq(z, y))
+    return sorted((x, y, m) for (x, y), m in mu.items()
+                  if m != (-1) ** (P.rank_of(y) - P.rank_of(x)))
+
+
+def test_mobius_failures_three_chain():
+    assert chain(0, 1, 2).mobius_failures() == [("c0", "c2", 0)]
+    assert diamond().mobius_failures() == []
+
+
+def test_mobius_failures_match_label_level_definition():
+    from assoc2.audit import bounded_graded_family
+    triple = RankedPoset({"bot": -1, "a": 0, "b": 0, "c": 0, "top": 1},
+                         [("bot", x) for x in "abc"] + [(x, "top") for x in "abc"])
+    posets = bounded_graded_family(5) + [triple, chain(0, 1, 2, 3),
+                                         enumerate_Wn((2, 1)).complete_with_min(-1, "F^min")]
+    assert any(P.mobius_failures() for P in posets)
+    for P in posets:
+        assert sorted(P.mobius_failures()) == _label_level_mobius_failures(P)
+
+
 def test_reduced_product_two_chains():
     P = chain(-1, 0)
     R = reduced_product(P, chain(-1, 0))

@@ -1,16 +1,18 @@
 import itertools
+import time
+from functools import cache
 
 import pytest
 
-from assoc2.trees import (all_bracketings, bracketing_to_tree, corolla, count_K,
-                          parse_tree, tree_to_text)
+from assoc2.trees import (Tree, all_bracketings, bracketing_to_tree, corolla, count_K,
+                          dim_tree, parse_tree, tree_to_text)
 from assoc2.series import coefficient, solve_F
-from assoc2.twoassoc import (SearchSpaceError, TwoBracket, TwoBracketing, _gen_fiber,
-                             check_nvector, count_W, dim_2concat, enumerate_Wn,
-                             forced_two_brackets, forgetful_map, max_two_bracket,
-                             point_singleton, removables, restrict_to_bracket,
-                             tb_compatible, top_element, top_rank,
-                             validate_two_bracketing)
+from assoc2.twoassoc import (SearchSpaceError, TwoBracket, TwoBracketing, VerificationError,
+                             _fiber_poly, _gen_fiber, _stacks, check_nvector, count_W,
+                             dim_2concat, enumerate_Wn, forced_two_brackets, forgetful_map,
+                             max_two_bracket, point_singleton, removables,
+                             restrict_to_bracket, tb_compatible, top_element, top_rank,
+                             trees_of_Kr, validate_two_bracketing)
 
 
 def test_check_nvector():
@@ -220,6 +222,65 @@ def test_line_reflection_is_a_poset_isomorphism(n):
     assert all(P.rank_of(lab) == Q.rank_of(image[lab]) for lab in P.labels)
     covers = {(image[P.labels[i]], image[P.labels[j]]) for i, j in P.cover_pairs}
     assert covers == {(Q.labels[i], Q.labels[j]) for i, j in Q.cover_pairs}
+
+
+def _count_grid(r_max, weight_max):
+    """Every nonzero n with r <= r_max lines and |n| <= weight_max."""
+    return [n for r in range(1, r_max + 1)
+            for n in itertools.product(range(weight_max + 1), repeat=r)
+            if any(n) and sum(n) <= weight_max]
+
+
+def test_recurrence_matches_series_beyond_desk_range():
+    rows = bad = 0
+    for r in (1, 2, 3):
+        for tree in trees_of_Kr(r):
+            F = solve_F(tree, 8)
+            for n in _count_grid(3, 8):
+                if len(n) == r:
+                    for m in range(top_rank(n) + 1):
+                        rows += 1
+                        bad += count_W(tree, m, n) != coefficient(F, m, n)
+    assert (rows, bad) == (3731, 0)
+
+
+def test_count_W_444_is_fast():
+    _fiber_poly.cache_clear()
+    _stacks.cache_clear()
+    n = (4, 4, 4)
+    t0 = time.perf_counter()
+    faces = [sum(count_W(tree, m, n) for tree in trees_of_Kr(3))
+             for m in range(top_rank(n) + 1)]
+    elapsed = time.perf_counter() - t0
+    # the series at max degree 12 gives the same counts, in about a minute
+    assert faces[-1] == 1 and faces[0] == 35889495800
+    assert elapsed < 1.0
+
+
+def _mirror(tree):
+    return Tree(tuple(_mirror(c) for c in reversed(tree.children)))
+
+
+def test_count_W_fiber_euler_characteristic_and_mirror():
+    # needs no second oracle: each fiber is a cell of Euler characteristic
+    # (-1)^d(T), and mirroring the lines maps W_n over T onto W_rev(n) over mirror(T)
+    grid = _count_grid(3, 8) + [n for n in _count_grid(4, 5) if len(n) == 4] + [(4, 4, 4)]
+    for n in grid:
+        for tree in trees_of_Kr(len(n)):
+            counts = [count_W(tree, m, n) for m in range(top_rank(n) + 1)]
+            assert sum((-1) ** m * c for m, c in enumerate(counts)) == (-1) ** dim_tree(tree)
+            assert counts == [count_W(_mirror(tree), m, n[::-1])
+                              for m in range(top_rank(n) + 1)]
+
+
+def test_recurrence_rejects_a_negative_dimension(monkeypatch):
+    from assoc2 import twoassoc
+    # fresh memos, so the broken weights neither read nor leave cached counts
+    monkeypatch.setattr(twoassoc, "_fiber_poly", cache(twoassoc._fiber_poly.__wrapped__))
+    monkeypatch.setattr(twoassoc, "_stacks", cache(twoassoc._stacks.__wrapped__))
+    monkeypatch.setattr(twoassoc, "dim_tree", lambda tree: -1)
+    with pytest.raises(VerificationError, match="negative dimension"):
+        count_W(corolla(2), 0, (1, 1))
 
 
 def test_count_W_shape_mismatch():
