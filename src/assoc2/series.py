@@ -4,8 +4,11 @@ The coefficient ring is Z[t, t^-1] with arbitrary-precision integers; series
 are truncated at a fixed total degree in the x-variables.  On top of the ring
 arithmetic sit the two fixed-point solvers: solve_f for the one-variable face
 count of the associahedra and solve_F for the per-tree face counts of the
-2-associahedra.  Both solvers iterate equations whose degree-d output only
-depends on strictly smaller degrees, so D rounds stabilize exactly.
+2-associahedra.  Both clear the denominator of their equation and fill the
+solution one total degree at a time: degree d of the cleared equation only
+depends on strictly smaller degrees, so each degree is computed once, from
+two degree-d convolutions.  The equation as written, with its geometric
+series, is then checked on the finished candidate.
 """
 
 from __future__ import annotations
@@ -143,17 +146,10 @@ class TruncatedSeries:
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_shape(other)
-        D = self.max_degree
+        a, b = _graded(self), _graded(other)
         out: dict[tuple[int, ...], LaurentPoly] = {}
-        for n1, p1 in self.terms.items():
-            d1 = sum(n1)
-            for n2, p2 in other.terms.items():
-                if d1 + sum(n2) > D:
-                    continue
-                n = tuple(a + b for a, b in zip(n1, n2))
-                prod = p1 * p2
-                q = out.get(n)
-                out[n] = prod if q is None else q + prod
+        for d in range(self.max_degree + 1):
+            _degree_product(a, b, d, out)
         return TruncatedSeries(self.var_count, self.max_degree, out)
 
     def scaled(self, p: LaurentPoly) -> "TruncatedSeries":
@@ -195,19 +191,71 @@ class TruncatedSeries:
         return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
 
 
+def _graded(s: TruncatedSeries) -> list[dict[tuple[int, ...], LaurentPoly]]:
+    """The terms of `s` split by total degree: entry d holds the degree-d terms."""
+    layers: list[dict] = [{} for _ in range(s.max_degree + 1)]
+    for n, p in s.terms.items():
+        layers[sum(n)][n] = p
+    return layers
+
+
+def _ungraded(var_count: int, layers: list[dict]) -> TruncatedSeries:
+    """Inverse of _graded; truncated at degree len(layers) - 1."""
+    return TruncatedSeries(var_count, len(layers) - 1,
+                           {n: p for layer in layers for n, p in layer.items()})
+
+
+def _degree_product(a: list[dict], b: list[dict], d: int, out: dict | None = None) -> dict:
+    """Degree-d part of a * b for graded series a, b, added into `out` when given."""
+    out = {} if out is None else out
+    for d1 in range(d + 1):
+        b_layer = b[d - d1]
+        for n1, p1 in a[d1].items():
+            for n2, p2 in b_layer.items():
+                n = tuple(x + y for x, y in zip(n1, n2))
+                prod = p1 * p2
+                q = out.get(n)
+                out[n] = prod if q is None else q + prod
+    return out
+
+
 def geometric_inverse(u: TruncatedSeries) -> TruncatedSeries:
-    """sum_{j>=0} u^j; requires zero constant term so the sum truncates."""
+    """sum_{j>=0} u^j; requires zero constant term so the sum truncates.
+
+    Solved as g = 1 + u g one degree at a time: degree d of u g only reads
+    degrees below d of g.
+    """
     if u.constant_term():
         raise ValueError("geometric_inverse needs a zero constant term")
-    one = TruncatedSeries.constant(u.var_count, u.max_degree, LP_ONE)
-    out = one
-    power = one
-    for _ in range(u.max_degree):
-        power = power * u
-        if not power.terms:
-            break
-        out = out + power
-    return out
+    us = _graded(u)
+    g: list[dict] = [{} for _ in us]
+    g[0] = {(0,) * u.var_count: LP_ONE}
+    for d in range(1, len(g)):
+        g[d] = _degree_product(us, g, d)
+    return _ungraded(u.var_count, g)
+
+
+def _solve_cleared(H: TruncatedSeries, p: int) -> TruncatedSeries:
+    """The solution with F_0 = 0 of F = H + t^-p ((1+t) F^2 - t H F).
+
+    This is F = t^-p F^2 / (1 - t^(1-p) F) + H with the denominator cleared.
+    Neither F nor H has a constant term, so degree d of F^2 and of H F only
+    reads degrees below d of F, and each degree is filled once.
+    """
+    Hs = _graded(H)
+    square_weight = LaurentPoly({-p: 1, 1 - p: 1})  # t^-p (1+t)
+    cross_weight = LaurentPoly.term(-1, 1 - p)       # -t^(1-p)
+    F: list[dict] = [{} for _ in Hs]
+    for d in range(1, len(F)):
+        layer = dict(Hs[d])
+        for weight, part in ((square_weight, _degree_product(F, F, d)),
+                             (cross_weight, _degree_product(Hs, F, d))):
+            for n, q in part.items():
+                q = q * weight
+                old = layer.get(n)
+                layer[n] = q if old is None else old + q
+        F[d] = layer
+    return _ungraded(H.var_count, F)
 
 
 def _validate_counts(series: TruncatedSeries, what: str):
@@ -222,14 +270,9 @@ def solve_f(max_degree: int) -> TruncatedSeries:
     if max_degree < 1:
         raise ValueError("need max_degree >= 1")
     x = TruncatedSeries.variable(1, max_degree, 1)
-    f = TruncatedSeries.zero(1, max_degree)
-    for _ in range(max_degree):
-        f_new = x + (f * f) * geometric_inverse(f.scaled(LaurentPoly.term(1, 1)))
-        if f_new == f:
-            break
-        f = f_new
+    f = _solve_cleared(x, 0)
     if f != x + (f * f) * geometric_inverse(f.scaled(LaurentPoly.term(1, 1))):
-        raise ArithmeticError("solve_f: fixed point failed to stabilize")
+        raise ArithmeticError("solve_f: candidate is not a fixed point")
     _validate_counts(f, "solve_f")
     return f
 
@@ -268,8 +311,12 @@ def solve_F(tree: Tree, max_degree: int) -> TruncatedSeries:
 
         F = F^2 / (t^p - t F) + t^(p-1) (prod_i t^(p_i)/(t^(p_i) - t F_i) - 1)
 
-    is iterated with the divisions expanded as t-shifted geometric series, so
-    intermediates are Laurent in t.  Final coefficients must come out as
+    has a second summand H built from the branch series alone, with the
+    divisions expanded as t-shifted geometric series, so intermediates are
+    Laurent in t.  The candidate F solves the equation with its denominator
+    cleared, F = H + t^-p ((1+t) F^2 - t H F), one degree at a time (each
+    degree costs two convolutions).  It must then satisfy the equation as
+    written, with the geometric series, and its coefficients must come out as
     nonnegative t-polynomials (they count faces); anything else raises.
     """
     if max_degree < 1:
@@ -291,19 +338,12 @@ def solve_F(tree: Tree, max_degree: int) -> TruncatedSeries:
         one = TruncatedSeries.constant(r, max_degree, LP_ONE)
         H = (horiz - one).scaled(LaurentPoly.term(1, p - 1))
 
-        F = TruncatedSeries.zero(r, max_degree)
-        for _ in range(max_degree + 1):
-            vert = (F * F).scaled(LaurentPoly.term(1, -p)) \
-                * geometric_inverse(F.scaled(LaurentPoly.term(1, 1 - p)))
-            F_new = vert + H
-            if F_new == F:
-                break
-            F = F_new
+        F = _solve_cleared(H, p)
         vert = (F * F).scaled(LaurentPoly.term(1, -p)) \
             * geometric_inverse(F.scaled(LaurentPoly.term(1, 1 - p)))
         if F != vert + H:
             raise ArithmeticError(f"solve_F({tree_to_text(tree)}): "
-                                  "fixed point failed to stabilize")
+                                  "candidate is not a fixed point")
 
     if F.terms.get((0,) * r):
         raise ArithmeticError("solve_F produced a constant term; W_n requires n != 0")

@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cache, cmp_to_key
 
-from .poset import RankedPoset
+from .poset import PosetError, RankedPoset
 from .trees import (Bracketing, Tree, all_bracketings, bracketing_to_tree, count_K,
                     dim_tree, root_decompose, tree_to_text)
 
@@ -601,9 +601,13 @@ def enumerate_Wn(n, max_elements: int = DEFAULT_MAX_ELEMENTS) -> RankedPoset:
         a, b = objects[x], objects[y]
         return b.brackets <= a.brackets and b.two_brackets <= a.two_brackets
 
-    poset = RankedPoset.from_order(
-        ranked, leq,
-        meta={"kind": "W_n", "n": n, "pi": pi_of, "objects": objects})
+    try:
+        poset = RankedPoset.from_order(
+            ranked, leq,
+            meta={"kind": "W_n", "n": n, "pi": pi_of, "objects": objects})
+    except PosetError as exc:
+        # the order was built here, so a rejected order is an engine fault
+        raise VerificationError(f"face order of W_{n}: {exc}") from exc
 
     top = top_element(n).label()
     if poset.unique_max() != top or poset.rank_of(top) != top_rank(n):

@@ -130,8 +130,18 @@ def _negate_geometric_inverse(monkeypatch):
     return ["gf", "solve", "--max-degree", "4"], "solve_f"
 
 
-@pytest.mark.parametrize("breakage", [_miscount_W, _refuse_cd_index, _negate_geometric_inverse],
-                         ids=["VerificationError", "NonEulerianError", "ArithmeticError"])
+def _reject_face_order(monkeypatch):
+    def from_order(cls, *args, **kwargs):
+        raise poset.PosetError("order is not the closure of rank-adjacent covers")
+    monkeypatch.setattr(RankedPoset, "from_order", classmethod(from_order))
+    monkeypatch.setattr(twoassoc, "_ENUM_CACHE", {})
+    return ["wn", "enumerate", "--n", "1,1"], "face order of W_(1, 1): "
+
+
+@pytest.mark.parametrize("breakage", [_miscount_W, _refuse_cd_index, _negate_geometric_inverse,
+                                      _reject_face_order],
+                         ids=["VerificationError", "NonEulerianError", "ArithmeticError",
+                              "PosetError"])
 def test_verification_error_is_one_line_exit_1(breakage, monkeypatch, capsys):
     argv, cause = breakage(monkeypatch)
     code, out = run(argv)

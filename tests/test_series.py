@@ -1,10 +1,14 @@
+import re
+from functools import cache
+
 import pytest
 from hypothesis import given, strategies as st
 
-from assoc2.series import (LaurentPoly, TruncatedSeries, check_f_closed_form,
+from assoc2 import series
+from assoc2.series import (LP_ONE, LaurentPoly, TruncatedSeries, check_f_closed_form,
                            coefficient, eval_t_minus1, geometric_inverse, solve_F,
                            solve_f, t_minus1_closed_form)
-from assoc2.trees import corolla, parse_tree
+from assoc2.trees import corolla, dim_tree, parse_tree, root_decompose
 from assoc2.twoassoc import count_W, trees_of_Kr
 
 
@@ -52,6 +56,23 @@ def test_geometric_inverse():
         assert g.coefficient_poly((d,)) == LaurentPoly({0: 1})
 
 
+laurents = st.dictionaries(st.integers(-3, 3), st.integers(-9, 9), max_size=4).map(LaurentPoly)
+
+
+@st.composite
+def series_without_constant_term(draw):
+    r = draw(st.integers(1, 3))
+    D = draw(st.integers(1, 5))
+    exponents = st.tuples(*[st.integers(0, D)] * r).filter(lambda n: 0 < sum(n) <= D)
+    return TruncatedSeries(r, D, draw(st.dictionaries(exponents, laurents, max_size=6)))
+
+
+@given(series_without_constant_term())
+def test_geometric_inverse_inverts_one_minus_u(u):
+    one = TruncatedSeries.constant(u.var_count, u.max_degree, LP_ONE)
+    assert geometric_inverse(u) * (one - u) == one
+
+
 def test_geometric_inverse_rejects_constant_term():
     one = TruncatedSeries.constant(1, 3, LaurentPoly({0: 1}))
     with pytest.raises(ValueError):
@@ -95,6 +116,72 @@ def test_solve_F_corolla2():
     assert F.coefficient_poly((1, 1)) == LaurentPoly({0: 2, 1: 1})
     assert F.coefficient_poly((1, 0)) == LaurentPoly({0: 1})
     assert coefficient(F, 1, (1, 1)) == 1
+
+
+def test_solve_F_rejects_a_wrong_candidate(monkeypatch):
+    real = series._solve_cleared
+
+    def perturbed(H, p):
+        F = real(H, p)
+        if H.var_count == 1:
+            return F  # leave solve_f, which the branches use, intact
+        n = max(F.terms)
+        return F + TruncatedSeries(F.var_count, F.max_degree, {n: LP_ONE})
+    monkeypatch.setattr(series, "_solve_cleared", perturbed)
+    # a fresh memo, so the broken solver neither reads nor leaves cached series
+    monkeypatch.setattr(series, "solve_F", cache(series.solve_F.__wrapped__))
+    with pytest.raises(ArithmeticError, match=re.escape("solve_F((..)): ")):
+        series.solve_F(corolla(2), 4)
+
+
+def _reference_f(max_degree):
+    """solve_f as a whole-series iteration: D rounds of the fixed-point map."""
+    x = TruncatedSeries.variable(1, max_degree, 1)
+    f = TruncatedSeries.zero(1, max_degree)
+    for _ in range(max_degree):
+        f_new = x + (f * f) * geometric_inverse(f.scaled(LaurentPoly.term(1, 1)))
+        if f_new == f:
+            break
+        f = f_new
+    return f
+
+
+@cache
+def _reference_F(tree, max_degree):
+    """solve_F as a whole-series iteration, on reference series for the branches."""
+    r = tree.leaf_count()
+    p = dim_tree(tree)
+    if r == 1:
+        return _reference_f(max_degree)
+    horiz = TruncatedSeries.constant(r, max_degree, LP_ONE)
+    offset = 0
+    for child in root_decompose(tree):
+        q_i = child.leaf_count()
+        p_i = dim_tree(child)
+        child_F = _reference_F(child, max_degree).embed(r, offset)
+        horiz = horiz * geometric_inverse(child_F.scaled(LaurentPoly.term(1, 1 - p_i)))
+        offset += q_i
+    one = TruncatedSeries.constant(r, max_degree, LP_ONE)
+    H = (horiz - one).scaled(LaurentPoly.term(1, p - 1))
+
+    F = TruncatedSeries.zero(r, max_degree)
+    for _ in range(max_degree + 1):
+        vert = (F * F).scaled(LaurentPoly.term(1, -p)) \
+            * geometric_inverse(F.scaled(LaurentPoly.term(1, 1 - p)))
+        F_new = vert + H
+        if F_new == F:
+            break
+        F = F_new
+    return F
+
+
+def test_solvers_match_whole_series_iteration():
+    for D in range(1, 13):
+        assert solve_f(D) == _reference_f(D), D
+    for r, D_max in ((1, 6), (2, 6), (3, 6), (4, 4)):
+        for tree in trees_of_Kr(r):
+            for D in range(1, D_max + 1):
+                assert solve_F(tree, D) == _reference_F(tree, D), (tree, D)
 
 
 def test_solve_F_no_constant_term():
@@ -183,9 +270,6 @@ def test_nonnegativity_of_counts():
         for tree in trees_of_Kr(r):
             F = solve_F(tree, 4)
             assert all(p.is_nonneg_poly() for p in F.terms.values())
-
-
-laurents = st.dictionaries(st.integers(-3, 3), st.integers(-9, 9), max_size=4).map(LaurentPoly)
 
 
 @given(laurents, laurents, laurents)
