@@ -230,14 +230,15 @@ def audit_reduced_products(max_elements: int = 6) -> AuditReport:
     rep = AuditReport()
     family = bounded_graded_family(max_elements)
     n_pairs = bad_closed = bad_balance = 0
+    signed = []
     for P in family:
-        a_p = sum((-1) ** P.rank_of(x) for x in P.labels)
-        eps_p = (-1) ** P.rank_of(P.unique_min())
-        for Q in family:
+        bot = P.unique_min()
+        signed.append((P, P.alternating_sum(bot, P.unique_max()),
+                       1 if P.rank_of(bot) % 2 == 0 else -1))
+    for P, a_p, eps_p in signed:
+        for Q, a_q, eps_q in signed:
             R = ps.reduced_product(P, Q)
-            a_q = sum((-1) ** Q.rank_of(x) for x in Q.labels)
-            a_r = sum((-1) ** R.rank_of(x) for x in R.labels)
-            eps_q = (-1) ** Q.rank_of(Q.unique_min())
+            a_r = R.alternating_sum(R.unique_min(), R.unique_max())
             if a_r != (a_p - eps_p) * (a_q - eps_q) - eps_p * eps_q:
                 bad_closed += 1
             if a_p == 0 and a_q == 0 and a_r != 0:

@@ -83,7 +83,6 @@ class RankedPoset:
         for i, r in enumerate(self.ranks):
             rk_masks[r] = rk_masks.get(r, 0) | (1 << i)
         self._rank_masks = sorted(rk_masks.items())
-        self._mobius_rows: dict[int, dict[int, int]] = {}
 
     # --- constructors ---
 
@@ -155,10 +154,13 @@ class RankedPoset:
 
     def alternating_sum(self, x: str, y: str) -> int:
         """Signed count sum((-1)^rank(z)) over the closed interval [x, y]."""
-        m = self._interval_mask(self._index[x], self._index[y])
+        return self._signed(self._interval_mask(self._index[x], self._index[y]))
+
+    def _signed(self, mask: int) -> int:
+        # explicit parity test: (-1) ** r is a float at negative ranks
         total = 0
         for r, rm in self._rank_masks:
-            c = (m & rm).bit_count()
+            c = (mask & rm).bit_count()
             total += c if r % 2 == 0 else -c
         return total
 
@@ -183,11 +185,7 @@ class RankedPoset:
             above = self._up[i] & ~(1 << i)
             for j in _bits(above):
                 checked += 1
-                m = self._up[i] & self._down[j]
-                s = 0
-                for r, rm in self._rank_masks:
-                    c = (m & rm).bit_count()
-                    s += c if r % 2 == 0 else -c
+                s = self._signed(self._up[i] & self._down[j])
                 if s != 0:
                     unbalanced.append((self.labels[i], self.labels[j], s))
         return EulerianReport(graded=self.is_graded(), pairs_checked=checked,
@@ -210,35 +208,29 @@ class RankedPoset:
         """Pairs x <= y with mu(x, y) != (-1)^(rank y - rank x), and their mu."""
         bad = []
         for i in range(len(self.labels)):
+            row = self._mobius_row(i, self._up[i])
             for j in _bits(self._up[i]):
-                mu = self._mobius_from(i, j)
+                mu = row[j]
                 if mu != (-1) ** (self.ranks[j] - self.ranks[i]):
                     bad.append((self.labels[i], self.labels[j], mu))
         return bad
 
     def mobius(self, x: str, y: str) -> int:
-        """Moebius value via the memoized top-down recursion."""
+        """Moebius value mu(x, y) by the recursion over the interval [x, y]."""
         i, j = self._index[x], self._index[y]
-        self._interval_mask(i, j)  # validates x <= y
-        return self._mobius_from(i, j)
+        return self._mobius_row(i, self._interval_mask(i, j))[j]
 
-    def _mobius_from(self, i: int, j: int) -> int:
-        row = self._mobius_rows.get(i)
-        if row is None:
-            row = self._mobius_rows.setdefault(i, {i: 1})
-        if j in row:
-            return row[j]
-        # fill the whole down-set of j above i in rank order; idempotent
-        targets = sorted(_bits(self._up[i] & self._down[j]),
-                         key=lambda t: self.ranks[t])
-        for t in targets:
-            if t in row:
-                continue
-            s = 0
-            for z in _bits(self._up[i] & self._down[t] & ~(1 << t)):
-                s += row[z]
-            row[t] = -s
-        return row[j]
+    def _mobius_row(self, i: int, mask: int) -> dict[int, int]:
+        """mu(i, t) for every t in mask, a down-closed part of i's up-set."""
+        row = {i: 1}
+        rest = mask & ~(1 << i)
+        for _, rm in self._rank_masks:
+            for t in _bits(rest & rm):
+                s = 0
+                for z in _bits(mask & self._down[t] & ~(1 << t)):
+                    s += row[z]
+                row[t] = -s
+        return row
 
     # --- structural operations ---
 
@@ -520,39 +512,38 @@ def _bounded_graded_data(P: RankedPoset) -> tuple[str, str, int, dict[int, list[
 
 
 def flag_f_vector(P: RankedPoset) -> FlagVector:
-    """Flag f-vector over proper rank subsets of a bounded graded poset."""
+    """Flag f-vector over proper rank subsets of a bounded graded poset.
+
+    Rank sets are walked depth-first; each extends its prefix's chain counts.
+    """
     bot, top, span, layers = _bounded_graded_data(P)
-    proper = list(range(1, span))
     entries: dict[frozenset, int] = {}
-    for S in _subsets(proper):
-        if not S:
-            entries[frozenset()] = 1
-            continue
-        counts = {i: 1 for i in layers[S[0]]}
-        for r in S[1:]:
+
+    def walk(S: tuple[int, ...], counts: dict[int, int], lo: int) -> None:
+        entries[frozenset(S)] = sum(counts.values())
+        support = sum(1 << i for i in counts)
+        for r in range(lo, span):
             nxt = {}
             for j in layers[r]:
                 tot = 0
-                dj = P._down[j]
-                for i, c in counts.items():
-                    if (dj >> i) & 1:
-                        tot += c
+                for i in _bits(P._down[j] & support):
+                    tot += counts[i]
                 if tot:
                     nxt[j] = tot
-            counts = nxt
-        entries[frozenset(S)] = sum(counts.values())
+            walk(S + (r,), nxt, r + 1)
+
+    walk((), {P.index(bot): 1}, 1)
     return FlagVector(rank_span=span, entries=entries)
 
 
 def flag_h_vector(fv: FlagVector) -> dict[frozenset, int]:
-    """Inclusion-exclusion transform h_S = sum_{T <= S} (-1)^{|S - T|} f_T."""
-    out = {}
-    for S in fv.entries:
-        s = 0
-        for T in _subsets(sorted(S)):
-            s += (-1) ** (len(S) - len(T)) * fv.entries[frozenset(T)]
-        out[S] = s
-    return out
+    """h_S = sum_{T <= S} (-1)^{|S - T|} f_T, as one subset difference per rank."""
+    h = dict(fv.entries)
+    for r in range(1, fv.rank_span):
+        for S in h:
+            if r in S:
+                h[S] -= h[S - {r}]
+    return h
 
 
 def ab_index(P: RankedPoset) -> dict[str, int]:
@@ -608,9 +599,3 @@ def cd_index(P: RankedPoset) -> CdPolynomial:
     if residual:
         raise NonEulerianError(f"ab-index has nonzero cd-rewriting remainder: {residual}")
     return CdPolynomial(coeffs)
-
-
-def _subsets(items: Sequence[int]):
-    n = len(items)
-    for mask in range(1 << n):
-        yield tuple(items[i] for i in range(n) if (mask >> i) & 1)

@@ -1,5 +1,9 @@
+import copy
+from collections import Counter
+
 import pytest
 
+from assoc2.audit import bounded_graded_family
 from assoc2.poset import (CdPolynomial, FlagVector, NonEulerianError, PosetError,
                           RankedPoset, ab_index, cd_index, fiber_product,
                           flag_f_vector, flag_h_vector, reduced_product)
@@ -120,7 +124,6 @@ def test_mobius_failures_three_chain():
 
 
 def test_mobius_failures_match_label_level_definition():
-    from assoc2.audit import bounded_graded_family
     triple = RankedPoset({"bot": -1, "a": 0, "b": 0, "c": 0, "top": 1},
                          [("bot", x) for x in "abc"] + [(x, "top") for x in "abc"])
     posets = bounded_graded_family(5) + [triple, chain(0, 1, 2, 3),
@@ -239,6 +242,84 @@ def test_flag_vectors_pentagon():
     assert h[frozenset()] == 1 and h[frozenset({1, 2})] == 1
     assert h[frozenset({1})] == 4 and h[frozenset({2})] == 4
     assert ab_index(P) == {"aa": 1, "ab": 4, "ba": 4, "bb": 1}
+
+
+def _flag_test_posets():
+    """Bounded graded posets, some of them not Eulerian."""
+    return (bounded_graded_family(6)
+            + [enumerate_Kr(r).complete_with_min(-1, "0^") for r in range(1, 6)]
+            + [enumerate_Wn(n).complete_with_min(-1, "F^min")
+               for n in [(1, 1), (2, 1), (1, 1, 1), (2, 2)]])
+
+
+def _chains_by_rank_set(P):
+    """Every chain bottom < x_1 < ... < x_k < top, counted by its rank set."""
+    bot, top = P.unique_min(), P.unique_max()
+    base = P.rank_of(bot)
+    counts = Counter()
+
+    def walk(x, S):
+        counts[frozenset(S)] += 1
+        for y in P.labels:
+            if y not in (x, top) and P.leq(x, y):
+                walk(y, S + [P.rank_of(y) - base])
+
+    walk(bot, [])
+    return counts
+
+
+def test_flag_f_vector_matches_brute_force_chain_count():
+    posets = _flag_test_posets()
+    assert any(not P.verify_eulerian().is_eulerian for P in posets)
+    for P in posets:
+        fv = flag_f_vector(P)
+        span = P.rank_of(P.unique_max()) - P.rank_of(P.unique_min())
+        assert fv.rank_span == span and len(fv.entries) == 2 ** max(span - 1, 0)
+        assert {S: c for S, c in fv.entries.items() if c} == _chains_by_rank_set(P)
+
+
+def _subsets(items):
+    n = len(items)
+    for mask in range(1 << n):
+        yield tuple(items[i] for i in range(n) if (mask >> i) & 1)
+
+
+def _h_by_inclusion_exclusion(fv):
+    out = {}
+    for S in fv.entries:
+        s = 0
+        for T in _subsets(sorted(S)):
+            s += (-1) ** (len(S) - len(T)) * fv.entries[frozenset(T)]
+        out[S] = s
+    return out
+
+
+def test_flag_h_vector_matches_inclusion_exclusion():
+    for P in _flag_test_posets():
+        fv = flag_f_vector(P)
+        assert flag_h_vector(fv) == _h_by_inclusion_exclusion(fv)
+
+
+def test_sweeps_leave_the_poset_unchanged():
+    P = enumerate_Wn((2, 1))
+    for Q in (P, P.complete_with_min(-1, "F^min")):
+        before = copy.deepcopy(vars(Q))
+        Q.mobius(Q.minimal_elements()[0], Q.unique_max())
+        Q.mobius_failures()
+        Q.verify_eulerian()
+        Q.diamond_failures()
+        if Q is not P:
+            flag_f_vector(Q)
+        assert vars(Q) == before
+
+
+def test_signed_counts_are_int_below_rank_zero():
+    P = RankedPoset({"bot": -1, "a": 0, "b": 0, "c": 0, "top": 1},
+                    [("bot", x) for x in "abc"] + [(x, "top") for x in "abc"])
+    assert type(P.alternating_sum("bot", "bot")) is int
+    assert type(P.alternating_sum("bot", "top")) is int
+    unbalanced = P.verify_eulerian().unbalanced
+    assert unbalanced and all(type(s) is int for _, _, s in unbalanced)
 
 
 def test_flag_vector_invariants():

@@ -211,8 +211,10 @@ def _reflect_lines(tb):
     return TwoBracketing(tb.n[::-1], brackets, two)
 
 
-@pytest.mark.parametrize("n", [(2, 1), (1, 2), (3, 1), (2, 1, 1), (1, 0, 2), (0, 2, 1),
-                               (3, 2)])
+_MIRROR_NS = [(2, 1), (1, 2), (3, 1), (2, 1, 1), (1, 0, 2), (0, 2, 1), (3, 2)]
+
+
+@pytest.mark.parametrize("n", _MIRROR_NS)
 def test_line_reflection_is_a_poset_isomorphism(n):
     # checks the order relation itself, independently of every count oracle
     P, Q = enumerate_Wn(n), enumerate_Wn(n[::-1])
@@ -222,6 +224,30 @@ def test_line_reflection_is_a_poset_isomorphism(n):
     assert all(P.rank_of(lab) == Q.rank_of(image[lab]) for lab in P.labels)
     covers = {(image[P.labels[i]], image[P.labels[j]]) for i, j in P.cover_pairs}
     assert covers == {(Q.labels[i], Q.labels[j]) for i, j in Q.cover_pairs}
+
+
+def _flip_vertical(tb):
+    """Mirror a face of W_n to itself by point j -> n_i + 1 - j, gap g -> n_i - g."""
+    def flip(line, e):
+        v = tb.n[line - 1]
+        return ("p", v + 1 - e[2], v + 1 - e[1]) if e[0] == "p" else ("g", v - e[1])
+    two = frozenset(TwoBracket(x.lo, x.hi, tuple(flip(line, e) for line, e
+                                                 in zip(x.lines(), x.extents)))
+                    for x in tb.two_brackets)
+    return TwoBracketing(tb.n, tb.brackets, two)
+
+
+@pytest.mark.parametrize("n", _MIRROR_NS)
+def test_vertical_flip_is_a_poset_automorphism(n):
+    # like the line reflection, this checks the order relation and no count
+    P = enumerate_Wn(n)
+    objs = P.meta["objects"]
+    image = {lab: _flip_vertical(objs[lab]).label() for lab in P.labels}
+    assert sorted(image.values()) == sorted(P.labels)
+    assert any(image[lab] != lab for lab in P.labels)
+    assert all(P.rank_of(lab) == P.rank_of(image[lab]) for lab in P.labels)
+    covers = {(image[P.labels[i]], image[P.labels[j]]) for i, j in P.cover_pairs}
+    assert covers == {(P.labels[i], P.labels[j]) for i, j in P.cover_pairs}
 
 
 def _count_grid(r_max, weight_max):
