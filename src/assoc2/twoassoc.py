@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache, cmp_to_key
+from functools import cache
 
 from .poset import PosetError, RankedPoset
 from .trees import (Bracketing, Tree, all_bracketings, bracketing_to_tree, count_K,
@@ -348,16 +348,13 @@ def validate_two_bracketing(tb: TwoBracketing) -> bool:
 
 
 def _stack_ordered(group: list[TwoBracket]) -> bool:
-    """Pairwise strict vertical order that is acyclic (hence a total order)."""
-    def cmp(x, y):
-        o = _tb_oriented(x, y)
-        if o == "below":
-            return -1
-        if o == "above":
-            return 1
-        return 0
+    """Pairwise strict vertical order that is acyclic (hence a total order).
 
-    ordered = sorted(group, key=cmp_to_key(cmp))
+    In a total order each member has as many members below it as its
+    position, so sorting by that count finds the order if there is one; the
+    all-pairs check alone decides.
+    """
+    ordered = sorted(group, key=lambda x: sum(_tb_oriented(y, x) == "below" for y in group))
     for i, x in enumerate(ordered):
         for y in ordered[i + 1:]:
             if _tb_oriented(x, y) != "below":
@@ -436,7 +433,7 @@ class VerificationError(Exception):
 
 
 def _shift(tbs: frozenset[TwoBracket], line_off: int,
-           point_offs: tuple[int, ...]) -> list[TwoBracket]:
+           point_offs: tuple[int, ...]) -> tuple[TwoBracket, ...]:
     out = []
     for x in tbs:
         exts = []
@@ -448,33 +445,30 @@ def _shift(tbs: frozenset[TwoBracket], line_off: int,
             else:
                 exts.append(("g", e[1] + off))
         out.append(TwoBracket(x.lo + line_off, x.hi + line_off, tuple(exts)))
-    return out
+    return tuple(out)
 
 
-def _vector_compositions(n: tuple[int, ...], parts: int):
-    """Ordered compositions of n into `parts` nonzero vectors."""
-    weight = sum(n)
-    if parts == 0:
-        if weight == 0:
-            yield ()
+def _screen_stacks(tree: Tree, n: tuple[int, ...], line_off: int,
+                   offs: tuple[int, ...]):
+    """Ordered stacks of fib(tree, q) faces filling n, bottom screen first.
+
+    Yields (shifted 2-brackets, screen dimensions); the stack starts at
+    line `line_off` + 1 and at points `offs` above each line's origin.  n = 0
+    yields only the empty stack.  Each bottom screen is shifted once and
+    reused in every stack built on top of it.
+    """
+    if not any(n):
+        yield (), ()
         return
-    if weight < parts:
-        return
-
-    def rec(remaining: tuple[int, ...], k: int):
-        if k == 1:
-            if any(remaining):
-                yield (remaining,)
-            return
-        for first in itertools.product(*[range(v + 1) for v in remaining]):
-            w = sum(first)
-            if w == 0 or sum(remaining) - w < k - 1:
-                continue
-            rest = tuple(a - b for a, b in zip(remaining, first))
-            for tail in rec(rest, k - 1):
-                yield (first,) + tail
-
-    yield from rec(n, parts)
+    for q in itertools.product(*[range(v + 1) for v in n]):
+        if not any(q):
+            continue
+        screens = [(_shift(fs, line_off, offs), d) for fs, d in _gen_fiber(tree, q)]
+        rest = tuple(a - b for a, b in zip(n, q))
+        above = tuple(o + v for o, v in zip(offs, q))
+        for tbs, dims in _screen_stacks(tree, rest, line_off, above):
+            for shifted, d in screens:
+                yield shifted + tbs, (d,) + dims
 
 
 @cache
@@ -483,7 +477,11 @@ def _gen_fiber(tree: Tree, n: tuple[int, ...]):
 
     Returns a tuple of (two_bracket_frozenset, dimension) pairs.  Every face
     includes its own maximal 2-bracket, whose shift is exactly the screen
-    enclosing it inside a larger face.
+    enclosing it inside a larger face.  Over a leaf the faces are K_n.  A
+    vertical face is a first screen fib(tree, q), 0 < q < n, under a
+    nonempty stack filling n - q; a horizontal face is one stack (maybe
+    empty) per branch.  Stacks come from _screen_stacks, dimensions from
+    dim_2concat.
     """
     r = tree.leaf_count()
     if len(n) != r or not any(n):
@@ -499,53 +497,30 @@ def _gen_fiber(tree: Tree, n: tuple[int, ...]):
                 two.add(TwoBracket(1, 1, (("p", a, b),)))
             out.append((frozenset(two), kb.dim))
     else:
+        mx, p = max_two_bracket(n), dim_tree(tree)
+        # vertical: a first screen under a nonempty stack of the rest
+        for q in itertools.product(*[range(v + 1) for v in n]):
+            if not any(q) or q == n:
+                continue
+            rest = tuple(a - b for a, b in zip(n, q))
+            above = list(_screen_stacks(tree, rest, 0, q))
+            for fs, d in _gen_fiber(tree, q):
+                for tbs, dims in above:
+                    out.append((frozenset((mx, *fs, *tbs)),
+                                dim_2concat([p], [1 + len(dims)], [[d, *dims]])))
+
+        # horizontal: one stack per branch of the bracket tree
         branches = root_decompose(tree)
-        p = dim_tree(tree)
-        p_i = [dim_tree(b) for b in branches]
-        widths = [b.leaf_count() for b in branches]
-        mx = max_two_bracket(n)
-
-        # vertical: a >= 2 stacked screens over the full line set
-        for a in range(2, sum(n) + 1):
-            for qs in _vector_compositions(n, a):
-                fibers = [_gen_fiber(tree, q) for q in qs]
-                for combo in itertools.product(*fibers):
-                    two = {mx}
-                    offs = [0] * r
-                    for (fs, _d), q in zip(combo, qs):
-                        two.update(_shift(fs, 0, tuple(offs)))
-                        offs = [o + v for o, v in zip(offs, q)]
-                    dims = [[dd for _fs, dd in combo]]
-                    out.append((frozenset(two), dim_2concat([p], [a], dims)))
-
-        # horizontal: per-branch stacks on the bracket-tree children
-        blocks = []
-        pos = 0
-        for w in widths:
-            blocks.append(n[pos:pos + w])
+        stacks, pos = [], 0
+        for child in branches:
+            w = child.leaf_count()
+            stacks.append(list(_screen_stacks(child, n[pos:pos + w], pos, (0,) * w)))
             pos += w
-        a_ranges = []
-        for blk in blocks:
-            a_ranges.append([0] if not any(blk) else list(range(1, sum(blk) + 1)))
-        for avec in itertools.product(*a_ranges):
-            per_branch = []
-            for blk, a_i in zip(blocks, avec):
-                per_branch.append(list(_vector_compositions(blk, a_i)))
-            for qs_by_branch in itertools.product(*per_branch):
-                fiber_lists = []
-                for child, qs in zip(branches, qs_by_branch):
-                    fiber_lists.append([_gen_fiber(child, q) for q in qs])
-                for combo in itertools.product(*[itertools.product(*fl) for fl in fiber_lists]):
-                    two = {mx}
-                    line_off = 0
-                    for w, child_combo, qs in zip(widths, combo, qs_by_branch):
-                        offs = [0] * w
-                        for (fs, _d), q in zip(child_combo, qs):
-                            two.update(_shift(fs, line_off, tuple(offs)))
-                            offs = [o + v for o, v in zip(offs, q)]
-                        line_off += w
-                    dims = [[dd for _fs, dd in child_combo] for child_combo in combo]
-                    out.append((frozenset(two), dim_2concat(p_i, avec, dims)))
+        p_i = [dim_tree(b) for b in branches]
+        for combo in itertools.product(*stacks):
+            tbs = [x for shifted, _ds in combo for x in shifted]
+            dims = [list(ds) for _shifted, ds in combo]
+            out.append((frozenset((mx, *tbs)), dim_2concat(p_i, [len(ds) for ds in dims], dims)))
 
     where = f"fiber over ({tree_to_text(tree)}, {n})"
     if len({fs for fs, _ in out}) != len(out):

@@ -13,3 +13,30 @@ def test_no_assert_statements_in_the_package():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _names_used(path: Path) -> dict[str, set[str]]:
+    """Module-level function name -> every name and attribute its body mentions."""
+    tree = ast.parse(path.read_text(), str(path))
+    return {node.name: {n.id if isinstance(n, ast.Name) else n.attr
+                        for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+            for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+def test_enumeration_and_count_oracles_share_no_code():
+    # enumerate_Wn is left out on purpose: it cross-checks its faces against count_W
+    package = Path(assoc2.__file__).parent
+    used = _names_used(package / "twoassoc.py")
+    enumeration = {"_gen_fiber", "_screen_stacks", "_shift"}
+    recurrence = {"_stacks", "_fiber_poly", "_splits", "_convolve", "count_W"}
+    assert enumeration | recurrence | {"dim_2concat"} <= set(used)
+    for name in enumeration:
+        assert used[name] & recurrence == set(), name
+    for name in ("_stacks", "_fiber_poly"):
+        assert used[name] & (enumeration | {"dim_2concat"}) == set(), name
+
+    series = ast.parse((package / "series.py").read_text())
+    imported = [node.module or "" for node in ast.walk(series) if isinstance(node, ast.ImportFrom)]
+    imported += [alias.name for node in ast.walk(series)
+                 if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
+    assert imported and not any("twoassoc" in name for name in imported)

@@ -147,11 +147,11 @@ def test_completed_Kr_is_eulerian(r):
     assert P.verify_eulerian().is_eulerian
 
 
-trees_strategy = st.deferred(
-    lambda: st.one_of(
-        st.just(LEAF),
-        st.lists(trees_strategy, min_size=2, max_size=3).map(lambda cs: Tree(tuple(cs))),
-    ))
+trees_strategy = st.recursive(
+    st.just(LEAF),
+    lambda children: st.lists(children, min_size=2, max_size=3).map(lambda cs: Tree(tuple(cs))),
+    max_leaves=100,
+)
 
 
 @given(trees_strategy)

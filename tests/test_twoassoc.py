@@ -1,14 +1,16 @@
 import itertools
 import time
-from functools import cache
+from functools import cache, cmp_to_key
 
 import pytest
 
+from assoc2.audit import desk_nvectors
 from assoc2.trees import (Tree, all_bracketings, bracketing_to_tree, corolla, count_K,
-                          dim_tree, parse_tree, tree_to_text)
+                          dim_tree, parse_tree, root_decompose, tree_to_text)
 from assoc2.series import coefficient, solve_F
 from assoc2.twoassoc import (SearchSpaceError, TwoBracket, TwoBracketing, VerificationError,
-                             _fiber_poly, _gen_fiber, _stacks, check_nvector, count_W,
+                             _fiber_poly, _gen_fiber, _shift, _stack_ordered, _stacks,
+                             _tb_oriented, check_nvector, count_W,
                              dim_2concat, enumerate_Wn, forced_two_brackets, forgetful_map,
                              max_two_bracket, point_singleton, removables,
                              restrict_to_bracket, tb_compatible, top_element, top_rank,
@@ -200,6 +202,138 @@ def test_count_W_corolla2_values():
 def test_gen_fiber_rejects_mismatched_n():
     with pytest.raises(ValueError):
         _gen_fiber(corolla(2), (1,))
+
+
+def _vector_compositions(n, parts):
+    """Ordered compositions of n into `parts` nonzero vectors."""
+    weight = sum(n)
+    if parts == 0:
+        if weight == 0:
+            yield ()
+        return
+    if weight < parts:
+        return
+
+    def rec(remaining, k):
+        if k == 1:
+            if any(remaining):
+                yield (remaining,)
+            return
+        for first in itertools.product(*[range(v + 1) for v in remaining]):
+            w = sum(first)
+            if w == 0 or sum(remaining) - w < k - 1:
+                continue
+            rest = tuple(a - b for a, b in zip(remaining, first))
+            for tail in rec(rest, k - 1):
+                yield (first,) + tail
+
+    yield from rec(n, parts)
+
+
+@cache
+def _composition_fiber(tree, n):
+    """The fiber generator before screen stacks: a loop over vector compositions."""
+    r = tree.leaf_count()
+    out = []
+    if r == 1:
+        q = n[0]
+        for kb in all_bracketings(q):
+            two = {point_singleton(1, j) for j in range(1, q + 1)}
+            two.add(TwoBracket(1, 1, (("p", 1, q),)))
+            for a, b in kb.brackets:
+                two.add(TwoBracket(1, 1, (("p", a, b),)))
+            out.append((frozenset(two), kb.dim))
+        return out
+    branches = root_decompose(tree)
+    p = dim_tree(tree)
+    p_i = [dim_tree(b) for b in branches]
+    widths = [b.leaf_count() for b in branches]
+    mx = max_two_bracket(n)
+
+    # vertical: a >= 2 stacked screens over the full line set
+    for a in range(2, sum(n) + 1):
+        for qs in _vector_compositions(n, a):
+            fibers = [_composition_fiber(tree, q) for q in qs]
+            for combo in itertools.product(*fibers):
+                two = {mx}
+                offs = [0] * r
+                for (fs, _d), q in zip(combo, qs):
+                    two.update(_shift(fs, 0, tuple(offs)))
+                    offs = [o + v for o, v in zip(offs, q)]
+                dims = [[dd for _fs, dd in combo]]
+                out.append((frozenset(two), dim_2concat([p], [a], dims)))
+
+    # horizontal: per-branch stacks on the bracket-tree children
+    blocks = []
+    pos = 0
+    for w in widths:
+        blocks.append(n[pos:pos + w])
+        pos += w
+    a_ranges = [[0] if not any(blk) else list(range(1, sum(blk) + 1)) for blk in blocks]
+    for avec in itertools.product(*a_ranges):
+        per_branch = [list(_vector_compositions(blk, a_i)) for blk, a_i in zip(blocks, avec)]
+        for qs_by_branch in itertools.product(*per_branch):
+            fiber_lists = [[_composition_fiber(child, q) for q in qs]
+                           for child, qs in zip(branches, qs_by_branch)]
+            for combo in itertools.product(*[itertools.product(*fl) for fl in fiber_lists]):
+                two = {mx}
+                line_off = 0
+                for w, child_combo, qs in zip(widths, combo, qs_by_branch):
+                    offs = [0] * w
+                    for (fs, _d), q in zip(child_combo, qs):
+                        two.update(_shift(fs, line_off, tuple(offs)))
+                        offs = [o + v for o, v in zip(offs, q)]
+                    line_off += w
+                dims = [[dd for _fs, dd in child_combo] for child_combo in combo]
+                out.append((frozenset(two), dim_2concat(p_i, avec, dims)))
+    return out
+
+
+def _sorted_faces(faces):
+    return sorted((tuple(x.sort_key() for x in sorted(fs, key=TwoBracket.sort_key)), d)
+                  for fs, d in faces)
+
+
+def test_screen_stacks_match_the_composition_generator():
+    for n in desk_nvectors() + [(3, 0, 2)]:
+        for tree in trees_of_Kr(len(n)):
+            assert _sorted_faces(_gen_fiber(tree, n)) == \
+                _sorted_faces(_composition_fiber(tree, n)), (tree_to_text(tree), n)
+
+
+def _cmp_stack_ordered(group):
+    """_stack_ordered as it was, sorting by a pairwise comparator."""
+    def cmp(x, y):
+        o = _tb_oriented(x, y)
+        if o == "below":
+            return -1
+        if o == "above":
+            return 1
+        return 0
+
+    ordered = sorted(group, key=cmp_to_key(cmp))
+    for i, x in enumerate(ordered):
+        for y in ordered[i + 1:]:
+            if _tb_oriented(x, y) != "below":
+                return False
+    return True
+
+
+@pytest.mark.parametrize("n", [(2, 1), (1, 1, 1), (2, 2)])
+def test_stack_ordered_matches_the_comparator_sort(n):
+    by_bracket = {}
+    for kb in all_bracketings(len(n)):
+        for x in candidate_two_brackets(n, kb.brackets):
+            by_bracket.setdefault(x.bracket, set()).add(x)
+    ordered_seen = 0
+    for cands in by_bracket.values():
+        cands = sorted(cands, key=TwoBracket.sort_key)
+        for k in (2, 3):
+            for group in itertools.permutations(cands, k):
+                got = _stack_ordered(list(group))
+                assert got == _cmp_stack_ordered(list(group)), group
+                ordered_seen += got
+    assert ordered_seen > 0
 
 
 def _reflect_lines(tb):
