@@ -19,10 +19,11 @@ independent count oracles.
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass
 from functools import cache
 
-from .poset import PosetError, RankedPoset
+from .poset import PosetError, RankedPoset, _bits
 from .trees import (Bracketing, Tree, all_bracketings, bracketing_to_tree, count_K,
                     dim_tree, root_decompose, tree_to_text)
 
@@ -243,28 +244,106 @@ def _bracket_children(stored: frozenset[tuple[int, int]], b: tuple[int, int]) ->
     return out
 
 
+class _TwoBracketTable:
+    """Relation rows over the 2-brackets of one n, grown as validation meets them.
+
+    A 2-bracket gets the next id the first time it is interned, after its
+    extents are checked against n; its rows are computed then, once, from
+    tb_inside, tb_compatible and _tb_oriented, and the earlier rows gain its
+    bit.  Bit y of inside[x] says x lies strictly inside y, of compatible[x]
+    that x and y are compatible (x itself included), of below[x] that y sits
+    strictly below x.  points[x] has one bit per marked point of x.
+    """
+
+    def __init__(self, n: tuple[int, ...]):
+        self.n = n
+        self.ids: dict[TwoBracket, int] = {}
+        self.bracket: list[tuple[int, int]] = []
+        self.size: list[tuple[int, int]] = []  # (points, line width): grows along a chain
+        self.inside: list[int] = []
+        self.compatible: list[int] = []
+        self.below: list[int] = []
+        self.points: list[int] = []
+        self._first_point = list(itertools.accumulate(n, initial=0))
+        self._lock = threading.Lock()
+        self.root = self.intern(max_two_bracket(n))
+        self.forced = sum(1 << self.intern(x) for x in forced_two_brackets(n))
+
+    def intern(self, x: TwoBracket) -> int:
+        k = self.ids.get(x)
+        if k is not None:
+            return k
+        with self._lock:
+            if x in self.ids:
+                return self.ids[x]
+            pts = self._point_mask(x)  # raises on extents outside n
+            k = len(self.ids)
+            inside = below = 0
+            compatible = 1 << k
+            for y, j in self.ids.items():
+                if tb_inside(x, y):
+                    inside |= 1 << j
+                elif tb_inside(y, x):
+                    self.inside[j] |= 1 << k
+                if tb_compatible(x, y):
+                    compatible |= 1 << j
+                    self.compatible[j] |= 1 << k
+                o = _tb_oriented(x, y)
+                if o == "above":
+                    below |= 1 << j
+                elif o == "below":
+                    self.below[j] |= 1 << k
+            self.bracket.append(x.bracket)
+            self.size.append((pts.bit_count(), x.hi - x.lo))
+            self.inside.append(inside)
+            self.compatible.append(compatible)
+            self.below.append(below)
+            self.points.append(pts)
+            self.ids[x] = k  # published last: a reader never sees a partial row
+        return k
+
+    def _point_mask(self, x: TwoBracket) -> int:
+        n = self.n
+        if x.hi > len(n):
+            raise ValueError(f"2-bracket {x} exceeds r={len(n)}")
+        out = 0
+        for line, e in zip(x.lines(), x.extents):
+            top = n[line - 1]
+            if e[0] == "p":
+                if e[2] > top:
+                    raise ValueError(f"points extent {e!r} exceeds n_{line}={top}")
+                out |= ((1 << (e[2] - e[1] + 1)) - 1) << (self._first_point[line - 1] + e[1] - 1)
+            elif e[1] > top:
+                raise ValueError(f"gap extent {e!r} exceeds n_{line}={top}")
+        return out
+
+
+_TABLES: dict[tuple[int, ...], _TwoBracketTable] = {}
+
+
+def _table(n: tuple[int, ...]) -> _TwoBracketTable:
+    table = _TABLES.get(n)
+    if table is None:
+        table = _TABLES.setdefault(n, _TwoBracketTable(n))
+    return table
+
+
 def validate_two_bracketing(tb: TwoBracketing) -> bool:
     """Decide the defining conditions for a structurally well-formed candidate.
 
     Malformed data (extents out of the range set by n, brackets out of
-    range) raises; anything well-formed evaluates to True or False.
+    range) raises; anything well-formed evaluates to True or False.  The
+    pairwise relations are read from the lazily grown table of n.
     """
     n = check_nvector(tb.n)
     r = len(n)
-
-    for x in tb.two_brackets:
-        if x.hi > r:
-            raise ValueError(f"2-bracket {x} exceeds r={r}")
-        for line in x.lines():
-            e = x.extent(line)
-            top = n[line - 1]
-            if e[0] == "p" and e[2] > top:
-                raise ValueError(f"points extent {e!r} exceeds n_{line}={top}")
-            if e[0] == "g" and e[1] > top:
-                raise ValueError(f"gap extent {e!r} exceeds n_{line}={top}")
+    table = _table(n)
+    elems = [table.intern(x) for x in tb.two_brackets]
     for lo, hi in tb.brackets:
         if not (1 <= lo <= hi <= r):
             raise ValueError(f"bracket ({lo},{hi}) out of range")
+    face = sum(1 << x for x in elems)  # distinct ids: the sum is the union
+    bracket, points = table.bracket, table.points
 
     # (V1) the bracket family is a bracketing
     try:
@@ -273,105 +352,96 @@ def validate_two_bracketing(tb: TwoBracketing) -> bool:
         return False
 
     # (V3) forced members present; every 2-bracket encloses a point
-    if not forced_two_brackets(n) <= tb.two_brackets:
-        return False
-    if not all(x.has_points() for x in tb.two_brackets):
+    if table.forced & ~face or not all(points[x] for x in elems):
         return False
 
     # (V2) projections land in the bracketing
     stored = tb.brackets
     all_brackets = stored | {(i, i) for i in range(1, r + 1)}
-    if any(x.bracket not in all_brackets for x in tb.two_brackets):
+    if any(bracket[x] not in all_brackets for x in elems):
         return False
 
     # (V4) pairwise nesting or consistent vertical order
-    elems = sorted(tb.two_brackets, key=TwoBracket.sort_key)
-    for i, x in enumerate(elems):
-        for y in elems[i + 1:]:
-            if not tb_compatible(x, y):
-                return False
+    if any(face & ~table.compatible[x] for x in elems):
+        return False
 
     # (V5)/(V6) the containment forest parses into stack and split nodes
-    root = max_two_bracket(n)
-    parent: dict[TwoBracket, TwoBracket] = {}
+    children = dict.fromkeys(elems, 0)
     for x in elems:
-        if x == root:
+        if x == table.root:
             continue
-        containers = [y for y in elems if y != x and tb_inside(x, y)]
+        containers = sorted(_bits(table.inside[x] & face), key=table.size.__getitem__)
         if not containers:
             return False
-        # point count then line width strictly increases along a containment chain
-        containers.sort(key=lambda y: (len(y.points()), y.hi - y.lo))
         for a, b in zip(containers, containers[1:]):
-            if not tb_inside(a, b):
+            if not table.inside[a] >> b & 1:
                 return False  # containers must form a chain
-        parent[x] = containers[0]
+        children[containers[0]] |= 1 << x
 
-    children: dict[TwoBracket, list[TwoBracket]] = {x: [] for x in elems}
-    for x, p in parent.items():
-        children[p].append(x)
-
-    witnessed = {x.bracket for x in elems}
+    witnessed = {bracket[x] for x in elems}
     for b in stored:
         block = n[b[0] - 1:b[1]]
         if any(block) and b not in witnessed:
             return False
 
     for node in elems:
-        ch = children[node]
+        ch = list(_bits(children[node]))
         if not ch:
-            if len(node.points()) > 1:
+            if table.size[node][0] > 1:
                 return False  # singletons inside would be children
             continue
-        same = [x for x in ch if x.bracket == node.bracket]
+        same = [x for x in ch if bracket[x] == bracket[node]]
         if same:
             # stack node: >= 2 screens over the same bracket splitting the points
             if len(same) != len(ch) or len(same) < 2:
                 return False
-            if not _stack_ok(same, node):
+            if not _stack_ok(table, same, node):
                 return False
         else:
             # split node: children sit exactly on the bracket-tree branches
-            branches = set(_bracket_children(stored, node.bracket))
-            if any(x.bracket not in branches for x in ch):
+            branches = set(_bracket_children(stored, bracket[node]))
+            if any(bracket[x] not in branches for x in ch):
                 return False
-            covered = set()
+            covered = 0
             for x in ch:
-                covered |= x.points()
-            if covered != set(node.points()):
+                covered |= points[x]
+            if covered != points[node]:
                 return False
             for b in branches:
-                group = [x for x in ch if x.bracket == b]
-                if len(group) > 1 and not _stack_ordered(group):
+                group = [x for x in ch if bracket[x] == b]
+                if len(group) > 1 and not _stack_ordered(table, group):
                     return False
     return True
 
 
-def _stack_ordered(group: list[TwoBracket]) -> bool:
+def _stack_ordered(table: _TwoBracketTable, group: list[int]) -> bool:
     """Pairwise strict vertical order that is acyclic (hence a total order).
 
     In a total order each member has as many members below it as its
     position, so sorting by that count finds the order if there is one; the
-    all-pairs check alone decides.
+    all-pairs check (every earlier member lies below each later one) alone
+    decides.
     """
-    ordered = sorted(group, key=lambda x: sum(_tb_oriented(y, x) == "below" for y in group))
-    for i, x in enumerate(ordered):
-        for y in ordered[i + 1:]:
-            if _tb_oriented(x, y) != "below":
-                return False
+    below, mask = table.below, 0
+    for x in group:
+        mask |= 1 << x
+    seen = 0
+    for y in sorted(group, key=lambda x: (below[x] & mask).bit_count()):
+        if below[y] & seen != seen:
+            return False
+        seen |= 1 << y
     return True
 
 
-def _stack_ok(same: list[TwoBracket], node: TwoBracket) -> bool:
-    if not _stack_ordered(same):
+def _stack_ok(table: _TwoBracketTable, same: list[int], node: int) -> bool:
+    if not _stack_ordered(table, same):
         return False
-    covered: set = set()
+    covered = 0
     for x in same:
-        pts = x.points()
-        if covered & pts:
+        if covered & table.points[x]:
             return False
-        covered |= pts
-    return covered == set(node.points())
+        covered |= table.points[x]
+    return covered == table.points[node]
 
 
 # --- operations on faces ---
@@ -530,6 +600,52 @@ def _gen_fiber(tree: Tree, n: tuple[int, ...]):
     return tuple(out)
 
 
+def _intern_mask(bit: dict, items) -> int:
+    """One int with the bit of every item, interning unseen items to new bits."""
+    m = 0
+    for x in items:
+        m |= 1 << bit.setdefault(x, len(bit))
+    return m
+
+
+def _containment_order(ranked: dict[str, int], masks: dict[str, int],
+                       meta: dict) -> RankedPoset:
+    """Faces ordered by reverse containment of their item masks.
+
+    Covers are probed only between adjacent rank layers.  The closure of
+    those covers must still be the whole containment order: the faces at or
+    above face a are the faces holding no item that a lacks, the AND of
+    ~holders[k] over those items k.  A difference on any pair means some
+    relation skips a rank, and raises PosetError.
+    """
+    layers: dict[int, list[tuple[str, int]]] = {}
+    for lab, d in ranked.items():
+        layers.setdefault(d, []).append((lab, ~masks[lab]))
+    covers = []
+    for d, lower in layers.items():
+        for b, not_b in layers.get(d + 1, ()):
+            mb = ~not_b
+            covers += [(a, b) for a, not_a in lower if not mb & not_a]
+    P = RankedPoset(ranked, covers, meta)
+
+    held = 0
+    for m in masks.values():
+        held |= m
+    holders = [0] * held.bit_length()
+    for i, lab in enumerate(P.labels):
+        for k in _bits(masks[lab]):
+            holders[k] |= 1 << i
+    everything = (1 << len(P.labels)) - 1
+    for i, lab in enumerate(P.labels):
+        outside = 0  # faces holding some item that lab lacks
+        for k in _bits(held & ~masks[lab]):
+            outside |= holders[k]
+        if everything & ~outside != P._up[i]:
+            raise PosetError(f"order is not the closure of rank-adjacent covers "
+                             f"(some relation skips a rank above {lab!r})")
+    return P
+
+
 DEFAULT_MAX_ELEMENTS = 100_000
 _ENUM_CACHE: dict[tuple[int, ...], RankedPoset] = {}
 
@@ -538,9 +654,13 @@ def enumerate_Wn(n, max_elements: int = DEFAULT_MAX_ELEMENTS) -> RankedPoset:
     """Face poset of W_n with forgetful labels.
 
     Faces are generated fiber by fiber over the trees of K_r, materialized as
-    explicit (bracketing, 2-brackets) pairs, validated, and ordered by
-    reverse containment.  The construction asserts gradedness, the unique
-    maximum at rank |n| + r - 3 and minimal elements at rank 0.
+    explicit (bracketing, 2-brackets) pairs and re-validated against the
+    lazily grown relation tables of n.  Each face's brackets and 2-brackets
+    are interned into one int mask, and the faces are ordered by reverse
+    containment of those masks: covers are probed between adjacent ranks
+    only, and the holders check of _containment_order confirms that their
+    closure is the whole order.  The construction asserts gradedness, the
+    unique maximum at rank |n| + r - 3 and minimal elements at rank 0.
     """
     n = check_nvector(n)
     if max_elements == DEFAULT_MAX_ELEMENTS and n in _ENUM_CACHE:
@@ -557,8 +677,12 @@ def enumerate_Wn(n, max_elements: int = DEFAULT_MAX_ELEMENTS) -> RankedPoset:
     ranked: dict[str, int] = {}
     objects: dict[str, TwoBracketing] = {}
     pi_of: dict[str, str] = {}
+    masks: dict[str, int] = {}
+    bit: dict = {}  # every bracket and 2-bracket of W_n met so far -> its bit
     for kb in all_bracketings(r):
         tree = bracketing_to_tree(kb)
+        pi = tree_to_text(tree)
+        bracket_mask = _intern_mask(bit, kb.brackets)
         for fs, d in _gen_fiber(tree, n):
             tb = TwoBracketing(n, kb.brackets, fs)
             if not validate_two_bracketing(tb):
@@ -568,18 +692,14 @@ def enumerate_Wn(n, max_elements: int = DEFAULT_MAX_ELEMENTS) -> RankedPoset:
                 raise VerificationError(f"duplicate face across fibers: {lab}")
             ranked[lab] = d
             objects[lab] = tb
-            pi_of[lab] = tree_to_text(tree)
+            pi_of[lab] = pi
+            masks[lab] = bracket_mask | _intern_mask(bit, fs)
     if len(ranked) != expected:
         raise VerificationError(f"enumerated {len(ranked)} faces, count oracle says {expected}")
 
-    def leq(x: str, y: str) -> bool:
-        a, b = objects[x], objects[y]
-        return b.brackets <= a.brackets and b.two_brackets <= a.two_brackets
-
     try:
-        poset = RankedPoset.from_order(
-            ranked, leq,
-            meta={"kind": "W_n", "n": n, "pi": pi_of, "objects": objects})
+        poset = _containment_order(
+            ranked, masks, meta={"kind": "W_n", "n": n, "pi": pi_of, "objects": objects})
     except PosetError as exc:
         # the order was built here, so a rejected order is an engine fault
         raise VerificationError(f"face order of W_{n}: {exc}") from exc

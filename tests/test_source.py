@@ -16,11 +16,11 @@ def test_no_assert_statements_in_the_package():
 
 
 def _names_used(path: Path) -> dict[str, set[str]]:
-    """Module-level function name -> every name and attribute its body mentions."""
+    """Module-level function or class name -> every name and attribute its body mentions."""
     tree = ast.parse(path.read_text(), str(path))
     return {node.name: {n.id if isinstance(n, ast.Name) else n.attr
                         for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
-            for node in tree.body if isinstance(node, ast.FunctionDef)}
+            for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
 
 
 def test_enumeration_and_count_oracles_share_no_code():
@@ -40,3 +40,21 @@ def test_enumeration_and_count_oracles_share_no_code():
     imported += [alias.name for node in ast.walk(series)
                  if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
     assert imported and not any("twoassoc" in name for name in imported)
+
+
+def test_validation_shares_no_code_with_the_generator_or_the_recurrence():
+    # re-validation must stay independent of the generator whose faces it re-checks
+    used = _names_used(Path(assoc2.__file__).parent / "twoassoc.py")
+    checked = {"validate_two_bracketing", "_TwoBracketTable", "_table", "_stack_ordered",
+               "_stack_ok", "_intern_mask", "_containment_order"}
+    generator = {"_gen_fiber", "_screen_stacks", "_shift", "dim_2concat", "_stacks",
+                 "_fiber_poly", "count_W"}
+    assert checked | generator <= set(used)
+    for name in checked:
+        reached, todo = set(), [name]
+        while todo:  # follow the module's own functions and classes it mentions
+            for other in used[todo.pop()] & set(used):
+                if other not in reached:
+                    reached.add(other)
+                    todo.append(other)
+        assert reached & generator == set(), name

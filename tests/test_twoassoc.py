@@ -1,4 +1,7 @@
 import itertools
+import random
+import sys
+import threading
 import time
 from functools import cache, cmp_to_key
 
@@ -8,13 +11,16 @@ from assoc2.audit import desk_nvectors
 from assoc2.trees import (Tree, all_bracketings, bracketing_to_tree, corolla, count_K,
                           dim_tree, parse_tree, root_decompose, tree_to_text)
 from assoc2.series import coefficient, solve_F
+from assoc2 import twoassoc
+from assoc2.poset import PosetError, RankedPoset
 from assoc2.twoassoc import (SearchSpaceError, TwoBracket, TwoBracketing, VerificationError,
-                             _fiber_poly, _gen_fiber, _shift, _stack_ordered, _stacks,
-                             _tb_oriented, check_nvector, count_W,
-                             dim_2concat, enumerate_Wn, forced_two_brackets, forgetful_map,
-                             max_two_bracket, point_singleton, removables,
-                             restrict_to_bracket, tb_compatible, top_element, top_rank,
-                             trees_of_Kr, validate_two_bracketing)
+                             _bracket_children, _containment_order, _fiber_poly, _gen_fiber,
+                             _shift, _stack_ordered, _stacks, _table, _tb_oriented,
+                             check_nvector, count_W, dim_2concat, enumerate_Wn,
+                             forced_two_brackets, forgetful_map, max_two_bracket,
+                             point_singleton, removables, restrict_to_bracket, tb_compatible,
+                             tb_inside, top_element, top_rank, trees_of_Kr,
+                             validate_two_bracketing)
 
 
 def test_check_nvector():
@@ -330,10 +336,237 @@ def test_stack_ordered_matches_the_comparator_sort(n):
         cands = sorted(cands, key=TwoBracket.sort_key)
         for k in (2, 3):
             for group in itertools.permutations(cands, k):
-                got = _stack_ordered(list(group))
+                table = _table(n)
+                got = _stack_ordered(table, [table.intern(x) for x in group])
                 assert got == _cmp_stack_ordered(list(group)), group
                 ordered_seen += got
     assert ordered_seen > 0
+
+
+def _object_validate(tb):
+    """validate_two_bracketing as it was: TwoBracket objects, no tables."""
+    n = check_nvector(tb.n)
+    r = len(n)
+
+    for x in tb.two_brackets:
+        if x.hi > r:
+            raise ValueError(f"2-bracket {x} exceeds r={r}")
+        for line in x.lines():
+            e = x.extent(line)
+            top = n[line - 1]
+            if e[0] == "p" and e[2] > top:
+                raise ValueError(f"points extent {e!r} exceeds n_{line}={top}")
+            if e[0] == "g" and e[1] > top:
+                raise ValueError(f"gap extent {e!r} exceeds n_{line}={top}")
+    for lo, hi in tb.brackets:
+        if not (1 <= lo <= hi <= r):
+            raise ValueError(f"bracket ({lo},{hi}) out of range")
+
+    try:
+        tb.bracketing()
+    except ValueError:
+        return False
+
+    if not forced_two_brackets(n) <= tb.two_brackets:
+        return False
+    if not all(x.has_points() for x in tb.two_brackets):
+        return False
+
+    stored = tb.brackets
+    all_brackets = stored | {(i, i) for i in range(1, r + 1)}
+    if any(x.bracket not in all_brackets for x in tb.two_brackets):
+        return False
+
+    elems = sorted(tb.two_brackets, key=TwoBracket.sort_key)
+    for i, x in enumerate(elems):
+        for y in elems[i + 1:]:
+            if not tb_compatible(x, y):
+                return False
+
+    root = max_two_bracket(n)
+    parent = {}
+    for x in elems:
+        if x == root:
+            continue
+        containers = [y for y in elems if y != x and tb_inside(x, y)]
+        if not containers:
+            return False
+        containers.sort(key=lambda y: (len(y.points()), y.hi - y.lo))
+        for a, b in zip(containers, containers[1:]):
+            if not tb_inside(a, b):
+                return False
+        parent[x] = containers[0]
+
+    children = {x: [] for x in elems}
+    for x, p in parent.items():
+        children[p].append(x)
+
+    witnessed = {x.bracket for x in elems}
+    for b in stored:
+        block = n[b[0] - 1:b[1]]
+        if any(block) and b not in witnessed:
+            return False
+
+    for node in elems:
+        ch = children[node]
+        if not ch:
+            if len(node.points()) > 1:
+                return False
+            continue
+        same = [x for x in ch if x.bracket == node.bracket]
+        if same:
+            if len(same) != len(ch) or len(same) < 2:
+                return False
+            if not _cmp_stack_ordered(same):
+                return False
+            covered = set()
+            for x in same:
+                if covered & x.points():
+                    return False
+                covered |= x.points()
+            if covered != set(node.points()):
+                return False
+        else:
+            branches = set(_bracket_children(stored, node.bracket))
+            if any(x.bracket not in branches for x in ch):
+                return False
+            covered = set()
+            for x in ch:
+                covered |= x.points()
+            if covered != set(node.points()):
+                return False
+            for b in branches:
+                group = [x for x in ch if x.bracket == b]
+                if len(group) > 1 and not _cmp_stack_ordered(group):
+                    return False
+    return True
+
+
+def _perturbed(n, faces, sample, rng):
+    """The faces, then one seeded add-one and one remove-one candidate per sampled face.
+
+    Added members come from candidate_two_brackets; a removal drops a
+    non-forced member when the face has one, else a forced one.
+    """
+    forced = forced_two_brackets(n)
+    out = list(faces)
+    for tb in sample:
+        extra = [x for x in candidate_two_brackets(n, tb.brackets) if x not in tb.two_brackets]
+        if extra:
+            out.append(TwoBracketing(n, tb.brackets, tb.two_brackets | {rng.choice(extra)}))
+        members = sorted(tb.two_brackets - forced, key=TwoBracket.sort_key) \
+            or sorted(tb.two_brackets, key=TwoBracket.sort_key)
+        out.append(TwoBracketing(n, tb.brackets, tb.two_brackets - {rng.choice(members)}))
+    return out
+
+
+@pytest.mark.parametrize("n", desk_nvectors() + [(3, 0, 2)], ids=str)
+def test_table_validation_matches_the_object_predicate(n, monkeypatch):
+    faces = sorted(enumerate_Wn(n).meta["objects"].values(), key=TwoBracketing.label)
+    rng = random.Random(f"perturb {n}")
+    cands = _perturbed(n, faces, rng.sample(faces, min(len(faces), 40)), rng)
+    expected = [_object_validate(tb) for tb in cands]
+    assert all(expected[:len(faces)]) and not all(expected[len(faces):])
+    monkeypatch.setattr(twoassoc, "_TABLES", {})
+    assert [validate_two_bracketing(tb) for tb in cands] == expected
+    # interning in the opposite order gives other ids and the same answers
+    monkeypatch.setattr(twoassoc, "_TABLES", {})
+    assert [validate_two_bracketing(tb) for tb in reversed(cands)] == expected[::-1]
+
+
+@pytest.mark.parametrize("n", desk_nvectors(), ids=str)
+def test_mask_covers_match_the_object_order(n):
+    P = enumerate_Wn(n)
+    objects = P.meta["objects"]
+
+    def leq(x, y):  # the order as from_order probed it, on every pair
+        a, b = objects[x], objects[y]
+        return b.brackets <= a.brackets and b.two_brackets <= a.two_brackets
+
+    Q = RankedPoset.from_order({lab: P.rank_of(lab) for lab in P.labels}, leq)
+    assert Q.labels == P.labels
+    assert Q.cover_pairs == P.cover_pairs and Q._up == P._up
+
+
+def test_containment_order_rejects_a_skip_rank_relation():
+    # c holds a subset of a's items two ranks up, and no face lies between
+    with pytest.raises(PosetError, match="skips a rank"):
+        _containment_order({"a": 0, "c": 2}, {"a": 0b11, "c": 0b01}, {})
+    P = _containment_order({"a": 0, "b": 1, "c": 2}, {"a": 0b111, "b": 0b011, "c": 0b001}, {})
+    assert P.cover_pairs == ((0, 1), (1, 2)) and P.leq("a", "c")
+
+
+def test_a_dropped_cover_is_a_verification_error(monkeypatch):
+    init = RankedPoset.__init__
+
+    def drop_last_cover(self, ranked, covers, meta=None):
+        init(self, ranked, sorted(covers)[:-1], meta)
+    monkeypatch.setattr(RankedPoset, "__init__", drop_last_cover)
+    monkeypatch.setattr(twoassoc, "_ENUM_CACHE", {})
+    with pytest.raises(VerificationError, match=r"^face order of W_\(2, 1\): order is not"):
+        enumerate_Wn((2, 1))
+
+
+def test_malformed_input_raises_and_is_not_interned(monkeypatch):
+    n = (2, 1)
+    top = top_element(n)
+    bad = [TwoBracketing(n, top.brackets, top.two_brackets | {x}) for x in [
+        TwoBracket(1, 3, (("p", 1, 1), ("g", 0), ("g", 0))),  # beyond r
+        TwoBracket(1, 1, (("p", 1, 3),)),                     # beyond n_1
+        TwoBracket(2, 2, (("g", 2),)),                        # gap beyond n_2
+    ]] + [TwoBracketing(n, top.brackets | {(2, 3)}, top.two_brackets)]
+    for fresh in (True, False):
+        if fresh:
+            monkeypatch.setattr(twoassoc, "_TABLES", {})
+        else:
+            enumerate_Wn(n)
+            assert validate_two_bracketing(top)
+        known = set(_table(n).ids)
+        for tb in bad:
+            with pytest.raises(ValueError):
+                _object_validate(tb)
+            with pytest.raises(ValueError):
+                validate_two_bracketing(tb)
+        assert set(_table(n).ids) == known
+
+
+def _table_rows(table):
+    """The relation rows of a table, keyed by 2-brackets instead of ids."""
+    ids = table.ids
+    return ({(x, y): (table.inside[i] >> j & 1, table.compatible[i] >> j & 1,
+                      table.below[i] >> j & 1)
+             for x, i in ids.items() for y, j in ids.items()},
+            {x: (table.points[i], table.bracket[i], table.size[i]) for x, i in ids.items()})
+
+
+def test_concurrent_validation_builds_the_same_table(monkeypatch):
+    n = (2, 2)
+    faces = sorted(enumerate_Wn(n).meta["objects"].values(), key=TwoBracketing.label)
+    monkeypatch.setattr(twoassoc, "_TABLES", {})
+    assert all(validate_two_bracketing(tb) for tb in faces)
+    expected = _table_rows(_table(n))
+
+    monkeypatch.setattr(twoassoc, "_TABLES", {})
+    results = []
+
+    def validate_from(start):
+        order = faces[start:] + faces[:start]
+        results.append(all(validate_two_bracketing(tb) for tb in order))
+
+    threads = [threading.Thread(target=validate_from, args=(k * len(faces) // 6,))
+               for k in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [True] * 6
+    assert _table_rows(_table(n)) == expected
 
 
 def _reflect_lines(tb):
