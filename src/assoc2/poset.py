@@ -83,6 +83,9 @@ class RankedPoset:
         for i, r in enumerate(self.ranks):
             rk_masks[r] = rk_masks.get(r, 0) | (1 << i)
         self._rank_masks = sorted(rk_masks.items())
+        # the rank masks are disjoint, so their sums are unions
+        self._even = sum(m for r, m in self._rank_masks if r % 2 == 0)
+        self._odd = sum(m for r, m in self._rank_masks if r % 2)
 
     # --- constructors ---
 
@@ -157,12 +160,7 @@ class RankedPoset:
         return self._signed(self._interval_mask(self._index[x], self._index[y]))
 
     def _signed(self, mask: int) -> int:
-        # explicit parity test: (-1) ** r is a float at negative ranks
-        total = 0
-        for r, rm in self._rank_masks:
-            c = (mask & rm).bit_count()
-            total += c if r % 2 == 0 else -c
-        return total
+        return (mask & self._even).bit_count() - (mask & self._odd).bit_count()
 
     def is_balanced(self, x: str, y: str) -> bool:
         return self.alternating_sum(x, y) == 0

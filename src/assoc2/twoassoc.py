@@ -132,9 +132,10 @@ class TwoBracketing:
         return Bracketing(self.r, self.brackets)
 
     def label(self) -> str:
-        tree = tree_to_text(bracketing_to_tree(self.bracketing()))
-        tbs = ";".join(str(t) for t in sorted(self.two_brackets, key=TwoBracket.sort_key))
-        return f"{tree}|{tbs}"
+        """Tree text, then the 2-brackets in sort-key order; read from the table of n."""
+        table = _table(check_nvector(self.n))
+        return _face_label(table, _tree_text(self.bracketing()),
+                           [table.intern(x) for x in self.two_brackets])
 
     def to_json_dict(self) -> dict:
         rows = []
@@ -227,7 +228,9 @@ def tb_compatible(x: TwoBracket, y: TwoBracket) -> bool:
 
 # --- validity ---
 
-def _bracket_children(stored: frozenset[tuple[int, int]], b: tuple[int, int]) -> list[tuple[int, int]]:
+@cache
+def _bracket_children(stored: frozenset[tuple[int, int]],
+                      b: tuple[int, int]) -> frozenset[tuple[int, int]]:
     """Bracket-tree children of b: maximal proper sub-brackets plus singleton gaps."""
     lo, hi = b
     inner = [c for c in stored if lo <= c[0] and c[1] <= hi and c != b]
@@ -241,7 +244,7 @@ def _bracket_children(stored: frozenset[tuple[int, int]], b: tuple[int, int]) ->
         else:
             out.append(sub)
             pos = sub[1] + 1
-    return out
+    return frozenset(out)
 
 
 class _TwoBracketTable:
@@ -252,7 +255,8 @@ class _TwoBracketTable:
     tb_inside, tb_compatible and _tb_oriented, and the earlier rows gain its
     bit.  Bit y of inside[x] says x lies strictly inside y, of compatible[x]
     that x and y are compatible (x itself included), of below[x] that y sits
-    strictly below x.  points[x] has one bit per marked point of x.
+    strictly below x.  points[x] has one bit per marked point of x; text[x]
+    and key[x] are str(x) and x.sort_key(), which labels are built from.
     """
 
     def __init__(self, n: tuple[int, ...]):
@@ -264,6 +268,8 @@ class _TwoBracketTable:
         self.compatible: list[int] = []
         self.below: list[int] = []
         self.points: list[int] = []
+        self.text: list[str] = []
+        self.key: list[tuple] = []
         self._first_point = list(itertools.accumulate(n, initial=0))
         self._lock = threading.Lock()
         self.root = self.intern(max_two_bracket(n))
@@ -299,6 +305,8 @@ class _TwoBracketTable:
             self.compatible.append(compatible)
             self.below.append(below)
             self.points.append(pts)
+            self.text.append(str(x))
+            self.key.append(x.sort_key())
             self.ids[x] = k  # published last: a reader never sees a partial row
         return k
 
@@ -326,6 +334,21 @@ def _table(n: tuple[int, ...]) -> _TwoBracketTable:
     if table is None:
         table = _TABLES.setdefault(n, _TwoBracketTable(n))
     return table
+
+
+@cache
+def _tree_text(kb: Bracketing) -> str:
+    return tree_to_text(bracketing_to_tree(kb))
+
+
+def _face_label(table: _TwoBracketTable, tree_text: str, ids) -> str:
+    """A face's label from its tree text and the table ids of its 2-brackets.
+
+    The ids are sorted by their key rows, so the label does not depend on
+    the order in which the table met the 2-brackets.
+    """
+    text = table.text
+    return tree_text + "|" + ";".join([text[x] for x in sorted(ids, key=table.key.__getitem__)])
 
 
 def validate_two_bracketing(tb: TwoBracketing) -> bool:
@@ -399,7 +422,7 @@ def validate_two_bracketing(tb: TwoBracketing) -> bool:
                 return False
         else:
             # split node: children sit exactly on the bracket-tree branches
-            branches = set(_bracket_children(stored, bracket[node]))
+            branches = _bracket_children(stored, bracket[node])
             if any(bracket[x] not in branches for x in ch):
                 return False
             covered = 0
@@ -518,14 +541,21 @@ def _shift(tbs: frozenset[TwoBracket], line_off: int,
     return tuple(out)
 
 
+@cache
+def _shifted_fiber(tree: Tree, q: tuple[int, ...], line_off: int,
+                   offs: tuple[int, ...]) -> tuple[tuple[tuple[TwoBracket, ...], int], ...]:
+    """The faces of fib(tree, q) shifted into place, with their dimensions."""
+    return tuple((_shift(fs, line_off, offs), d) for fs, d in _gen_fiber(tree, q))
+
+
 def _screen_stacks(tree: Tree, n: tuple[int, ...], line_off: int,
                    offs: tuple[int, ...]):
     """Ordered stacks of fib(tree, q) faces filling n, bottom screen first.
 
     Yields (shifted 2-brackets, screen dimensions); the stack starts at
     line `line_off` + 1 and at points `offs` above each line's origin.  n = 0
-    yields only the empty stack.  Each bottom screen is shifted once and
-    reused in every stack built on top of it.
+    yields only the empty stack.  Each screen is shifted once per placement
+    and reused in every stack that puts it there.
     """
     if not any(n):
         yield (), ()
@@ -533,7 +563,7 @@ def _screen_stacks(tree: Tree, n: tuple[int, ...], line_off: int,
     for q in itertools.product(*[range(v + 1) for v in n]):
         if not any(q):
             continue
-        screens = [(_shift(fs, line_off, offs), d) for fs, d in _gen_fiber(tree, q)]
+        screens = _shifted_fiber(tree, q, line_off, offs)
         rest = tuple(a - b for a, b in zip(n, q))
         above = tuple(o + v for o, v in zip(offs, q))
         for tbs, dims in _screen_stacks(tree, rest, line_off, above):
@@ -600,42 +630,37 @@ def _gen_fiber(tree: Tree, n: tuple[int, ...]):
     return tuple(out)
 
 
-def _intern_mask(bit: dict, items) -> int:
-    """One int with the bit of every item, interning unseen items to new bits."""
-    m = 0
-    for x in items:
-        m |= 1 << bit.setdefault(x, len(bit))
-    return m
-
-
 def _containment_order(ranked: dict[str, int], masks: dict[str, int],
                        meta: dict) -> RankedPoset:
     """Faces ordered by reverse containment of their item masks.
 
-    Covers are probed only between adjacent rank layers.  The closure of
-    those covers must still be the whole containment order: the faces at or
-    above face a are the faces holding no item that a lacks, the AND of
-    ~holders[k] over those items k.  A difference on any pair means some
-    relation skips a rank, and raises PosetError.
+    With holders[k] the faces holding item k, the faces at or below face b
+    are those holding every item of b, the AND of holders[k] over b's
+    items; b's covers are that set restricted to the layer one rank down.
+    The closure of those covers must still be the whole containment order:
+    the faces at or above face a are the faces holding no item that a
+    lacks, the AND of ~holders[k] over those items k.  A difference on any
+    pair means some relation skips a rank, and raises PosetError.
     """
-    layers: dict[int, list[tuple[str, int]]] = {}
-    for lab, d in ranked.items():
-        layers.setdefault(d, []).append((lab, ~masks[lab]))
-    covers = []
-    for d, lower in layers.items():
-        for b, not_b in layers.get(d + 1, ()):
-            mb = ~not_b
-            covers += [(a, b) for a, not_a in lower if not mb & not_a]
-    P = RankedPoset(ranked, covers, meta)
-
+    labels = sorted(ranked)  # the index order of RankedPoset
     held = 0
     for m in masks.values():
         held |= m
     holders = [0] * held.bit_length()
-    for i, lab in enumerate(P.labels):
+    layers: dict[int, int] = {}
+    for i, lab in enumerate(labels):
         for k in _bits(masks[lab]):
             holders[k] |= 1 << i
-    everything = (1 << len(P.labels)) - 1
+        layers[ranked[lab]] = layers.get(ranked[lab], 0) | 1 << i
+    everything = (1 << len(labels)) - 1
+    covers = []
+    for lab in labels:
+        below = everything
+        for k in _bits(masks[lab]):
+            below &= holders[k]
+        covers += [(labels[a], lab) for a in _bits(below & layers.get(ranked[lab] - 1, 0))]
+    P = RankedPoset(ranked, covers, meta)
+
     for i, lab in enumerate(P.labels):
         outside = 0  # faces holding some item that lab lacks
         for k in _bits(held & ~masks[lab]):
@@ -655,12 +680,14 @@ def enumerate_Wn(n, max_elements: int = DEFAULT_MAX_ELEMENTS) -> RankedPoset:
 
     Faces are generated fiber by fiber over the trees of K_r, materialized as
     explicit (bracketing, 2-brackets) pairs and re-validated against the
-    lazily grown relation tables of n.  Each face's brackets and 2-brackets
-    are interned into one int mask, and the faces are ordered by reverse
-    containment of those masks: covers are probed between adjacent ranks
-    only, and the holders check of _containment_order confirms that their
-    closure is the whole order.  The construction asserts gradedness, the
-    unique maximum at rank |n| + r - 3 and minimal elements at rank 0.
+    lazily grown relation table of n, which also holds the text and sort
+    key each label is built from.  A face's mask has one fixed bit per
+    bracket and, above those, the table id bit of each of its 2-brackets;
+    the faces are ordered by reverse containment of those masks, with the
+    covers of each face read off the intersection of its items' holders,
+    and the holders check of _containment_order confirms that their closure
+    is the whole order.  The construction asserts gradedness, the unique
+    maximum at rank |n| + r - 3 and minimal elements at rank 0.
     """
     n = check_nvector(n)
     if max_elements == DEFAULT_MAX_ELEMENTS and n in _ENUM_CACHE:
@@ -678,22 +705,25 @@ def enumerate_Wn(n, max_elements: int = DEFAULT_MAX_ELEMENTS) -> RankedPoset:
     objects: dict[str, TwoBracketing] = {}
     pi_of: dict[str, str] = {}
     masks: dict[str, int] = {}
-    bit: dict = {}  # every bracket and 2-bracket of W_n met so far -> its bit
+    table = _table(n)
     for kb in all_bracketings(r):
         tree = bracketing_to_tree(kb)
-        pi = tree_to_text(tree)
-        bracket_mask = _intern_mask(bit, kb.brackets)
+        pi = _tree_text(kb)
+        bracket_mask = 0  # bracket (lo, hi) at bit (lo - 1) r + hi - 1, below r * r
+        for lo, hi in kb.brackets:
+            bracket_mask |= 1 << (lo - 1) * r + hi - 1
         for fs, d in _gen_fiber(tree, n):
             tb = TwoBracketing(n, kb.brackets, fs)
             if not validate_two_bracketing(tb):
                 raise VerificationError(f"enumerated face fails validation: {tb.label()}")
-            lab = tb.label()
+            ids = [table.intern(x) for x in fs]
+            lab = _face_label(table, pi, ids)
             if lab in ranked:
                 raise VerificationError(f"duplicate face across fibers: {lab}")
             ranked[lab] = d
             objects[lab] = tb
             pi_of[lab] = pi
-            masks[lab] = bracket_mask | _intern_mask(bit, fs)
+            masks[lab] = bracket_mask | sum(1 << x for x in ids) << r * r
     if len(ranked) != expected:
         raise VerificationError(f"enumerated {len(ranked)} faces, count oracle says {expected}")
 

@@ -6,7 +6,7 @@ import pytest
 from assoc2.audit import bounded_graded_family
 from assoc2.poset import (CdPolynomial, FlagVector, NonEulerianError, PosetError,
                           RankedPoset, ab_index, cd_index, fiber_product,
-                          flag_f_vector, flag_h_vector, reduced_product)
+                          _bits, flag_f_vector, flag_h_vector, reduced_product)
 from assoc2.trees import enumerate_Kr
 from assoc2.twoassoc import enumerate_Wn
 
@@ -320,6 +320,22 @@ def test_signed_counts_are_int_below_rank_zero():
     assert type(P.alternating_sum("bot", "top")) is int
     unbalanced = P.verify_eulerian().unbalanced
     assert unbalanced and all(type(s) is int for _, _, s in unbalanced)
+
+
+def test_signed_parity_masks_match_the_per_rank_sum():
+    posets = (bounded_graded_family(6, min_rank=-1) + bounded_graded_family(6, min_rank=-2)
+              + [enumerate_Wn(n).complete_with_min(-1, "F^min") for n in [(2, 1), (1, 1, 1)]])
+    for P in posets:
+        def per_rank(mask):
+            total = 0
+            for r, rm in P._rank_masks:
+                c = (mask & rm).bit_count()
+                total += c if r % 2 == 0 else -c
+            return total
+        masks = [(1 << len(P)) - 1] + P._up + P._down
+        masks += [P._up[i] & P._down[j] for i in range(len(P)) for j in _bits(P._up[i])]
+        for mask in masks:
+            assert P._signed(mask) == per_rank(mask)
 
 
 def test_flag_vector_invariants():

@@ -27,7 +27,7 @@ def test_enumeration_and_count_oracles_share_no_code():
     # enumerate_Wn is left out on purpose: it cross-checks its faces against count_W
     package = Path(assoc2.__file__).parent
     used = _names_used(package / "twoassoc.py")
-    enumeration = {"_gen_fiber", "_screen_stacks", "_shift"}
+    enumeration = {"_gen_fiber", "_screen_stacks", "_shifted_fiber", "_shift"}
     recurrence = {"_stacks", "_fiber_poly", "_splits", "_convolve", "count_W"}
     assert enumeration | recurrence | {"dim_2concat"} <= set(used)
     for name in enumeration:
@@ -46,7 +46,7 @@ def test_validation_shares_no_code_with_the_generator_or_the_recurrence():
     # re-validation must stay independent of the generator whose faces it re-checks
     used = _names_used(Path(assoc2.__file__).parent / "twoassoc.py")
     checked = {"validate_two_bracketing", "_TwoBracketTable", "_table", "_stack_ordered",
-               "_stack_ok", "_intern_mask", "_containment_order"}
+               "_stack_ok", "_face_label", "_tree_text", "_containment_order"}
     generator = {"_gen_fiber", "_screen_stacks", "_shift", "dim_2concat", "_stacks",
                  "_fiber_poly", "count_W"}
     assert checked | generator <= set(used)

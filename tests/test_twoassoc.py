@@ -474,6 +474,27 @@ def test_table_validation_matches_the_object_predicate(n, monkeypatch):
     assert [validate_two_bracketing(tb) for tb in reversed(cands)] == expected[::-1]
 
 
+def _object_label(tb):
+    """TwoBracketing.label as it was: text and sort keys from the objects, no table."""
+    tree = tree_to_text(bracketing_to_tree(tb.bracketing()))
+    tbs = ";".join(str(t) for t in sorted(tb.two_brackets, key=TwoBracket.sort_key))
+    return f"{tree}|{tbs}"
+
+
+@pytest.mark.parametrize("n", desk_nvectors() + [(3, 0, 2)], ids=str)
+def test_table_labels_match_the_object_label(n, monkeypatch):
+    P = enumerate_Wn(n)
+    labels = list(P.labels)
+    faces = [P.meta["objects"][lab] for lab in labels]
+    assert [_object_label(tb) for tb in faces] == labels
+    assert [tb.label() for tb in faces] == labels
+    # a table that met the 2-brackets in the opposite order gives the same labels
+    monkeypatch.setattr(twoassoc, "_TABLES", {})
+    assert [tb.label() for tb in reversed(faces)] == labels[::-1]
+    monkeypatch.setattr(twoassoc, "_ENUM_CACHE", {})
+    assert enumerate_Wn(n).labels == P.labels
+
+
 @pytest.mark.parametrize("n", desk_nvectors(), ids=str)
 def test_mask_covers_match_the_object_order(n):
     P = enumerate_Wn(n)
