@@ -185,29 +185,20 @@ def bounded_graded_family(max_elements: int = 6, min_rank: int = -1) -> list[ps.
 
     Every labeled partial order on the middle elements gets a fresh bottom
     and top; ranks are longest-chain heights shifted to put the bottom at
-    min_rank, and candidates whose covers do not raise rank by one (the
-    non-graded ones) are dropped.
+    min_rank, and candidates that RankedPoset.from_order rejects (the
+    non-graded ones, where a cover does not raise rank by one) are dropped.
     """
     out = []
     for size in range(0, max_elements - 1):
         for less in _all_middle_posets(size):
             labels = [f"m{i}" for i in range(size)]
 
-            def direct(j, i):
-                return not any(less[j][z] and less[z][i] for z in range(size))
-
-            covers = []
-            for i in range(size):
-                below = [j for j in range(size) if less[j][i]]
-                for j in below:
-                    if direct(j, i):
-                        covers.append((labels[j], labels[i]))
-                if not below:
-                    covers.append(("bot", labels[i]))
-                if not any(less[i][j] for j in range(size)):
-                    covers.append((labels[i], "top"))
-            if size == 0:
-                covers.append(("bot", "top"))
+            def leq(x: str, y: str) -> bool:
+                if x == y or x == "bot" or y == "top":
+                    return True
+                if x == "top" or y == "bot":
+                    return False
+                return bool(less[int(x[1:])][int(y[1:])])
 
             height = {"bot": 0}
             order = sorted(range(size), key=lambda i: sum(less[j][i] for j in range(size)))
@@ -219,9 +210,9 @@ def bounded_graded_family(max_elements: int = 6, min_rank: int = -1) -> list[ps.
                                     default=0)
             ranked = {lab: h + min_rank for lab, h in height.items()}
             try:
-                out.append(ps.RankedPoset(ranked, covers))
+                out.append(ps.RankedPoset.from_order(ranked, leq))
             except ps.PosetError:
-                continue  # a cover skips a rank: not graded
+                continue  # not graded
     return out
 
 

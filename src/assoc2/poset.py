@@ -95,29 +95,66 @@ class RankedPoset:
                    meta: Mapping[str, object] | None = None) -> "RankedPoset":
         """Build from a comparability predicate; covers are derived.
 
-        Only pairs with strictly increasing rank are probed.  The closure of
-        the rank-adjacent covers must reproduce the probed order, otherwise
-        some relation skips a rank and the poset is rejected.
+        Only pairs with strictly increasing rank are probed; see
+        from_down_sets for the covers and the closure check.
         """
         labels = sorted(ranked_labels)
         n = len(labels)
-        up = [1 << i for i in range(n)]
+        down = [1 << i for i in range(n)]
         for a in range(n):
             ra = ranked_labels[labels[a]]
             for b in range(n):
                 if ranked_labels[labels[b]] > ra and leq(labels[a], labels[b]):
-                    up[a] |= 1 << b
-        covers = []
-        for a in range(n):
-            ra = ranked_labels[labels[a]]
-            for b in _bits(up[a]):
-                if ranked_labels[labels[b]] == ra + 1:
-                    covers.append((labels[a], labels[b]))
+                    down[b] |= 1 << a
+        return cls.from_down_sets(ranked_labels, down, meta)
+
+    @classmethod
+    def from_item_masks(cls, ranked_labels: Mapping[str, int], masks: Mapping[str, int],
+                        meta: Mapping[str, object] | None = None) -> "RankedPoset":
+        """Elements ordered by reverse containment of their item masks.
+
+        a <= b when every item of b is an item of a.  With holders[k] the
+        elements holding item k, the down-set of b is the AND of holders[k]
+        over b's items; see from_down_sets for the covers and the closure
+        check.
+        """
+        labels = sorted(ranked_labels)
+        holders = [0] * max(masks.values(), default=0).bit_length()
+        for i, lab in enumerate(labels):
+            for k in _bits(masks[lab]):
+                holders[k] |= 1 << i
+        everything = (1 << len(labels)) - 1
+        down = []
+        for lab in labels:
+            d = everything
+            for k in _bits(masks[lab]):
+                d &= holders[k]
+            down.append(d)
+        return cls.from_down_sets(ranked_labels, down, meta)
+
+    @classmethod
+    def from_down_sets(cls, ranked_labels: Mapping[str, int], down: Sequence[int],
+                       meta: Mapping[str, object] | None = None) -> "RankedPoset":
+        """Build from each element's down-set; covers are read off.
+
+        down[i] is the mask of the elements at or below element i, itself
+        included, over the sorted labels.  Element i's covers are down[i]
+        restricted to the layer one rank lower.  The closure of those covers
+        must give back every down-set, or the poset is rejected.
+        """
+        labels = sorted(ranked_labels)
+        if len(down) != len(labels):
+            raise PosetError(f"{len(down)} down-sets for {len(labels)} elements")
+        layers: dict[int, int] = {}
+        for i, lab in enumerate(labels):
+            layers[ranked_labels[lab]] = layers.get(ranked_labels[lab], 0) | 1 << i
+        covers = [(labels[a], lab) for i, lab in enumerate(labels)
+                  for a in _bits(down[i] & layers.get(ranked_labels[lab] - 1, 0))]
         P = cls(ranked_labels, covers, meta)
-        for a in range(n):
-            if P._up[a] != up[a]:
-                raise PosetError("order is not the closure of rank-adjacent covers "
-                                 "(some relation skips a rank)")
+        for i, lab in enumerate(labels):
+            if P._down[i] != down[i]:
+                raise PosetError(f"order is not the closure of rank-adjacent covers below "
+                                 f"{lab!r} (a relation skips a rank, or is not transitive)")
         return P
 
     # --- basic queries ---

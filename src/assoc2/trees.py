@@ -141,9 +141,9 @@ class Bracketing:
     def dim(self) -> int:
         return self.r - 1 - len(self.brackets)
 
-    def removable(self) -> frozenset[tuple[int, int]]:
-        """Brackets that are neither singletons nor the full interval."""
-        return frozenset(b for b in self.brackets if b != (1, self.r))
+    def mask(self) -> int:
+        """Bracket (lo, hi) as bit (lo - 1) r + hi - 1, below r * r."""
+        return sum(1 << (lo - 1) * self.r + hi - 1 for lo, hi in self.brackets)
 
     def key(self) -> str:
         return f"r{self.r}:" + ",".join(f"{lo}-{hi}" for lo, hi in sorted(self.brackets))
@@ -224,24 +224,19 @@ def enumerate_Kr(r: int) -> RankedPoset:
     """Face poset of K_r: bracketings ordered by reverse inclusion.
 
     Ranks are the dimensions; the unique maximum is the corolla.  Element
-    labels are the canonical tree texts.
+    labels are the canonical tree texts.  RankedPoset.from_item_masks reads
+    the covers off the bracket masks and checks that their closure is the
+    whole order, as enumerate_Wn does for W_n.
     """
     if r < 1:
         raise ValueError("need r >= 1")
-    bracketings = all_bracketings(r)
-    by_set = {b.brackets: b for b in bracketings}
     ranked = {}
-    label_of = {}
-    for b in bracketings:
+    masks = {}
+    for b in all_bracketings(r):
         lab = tree_to_text(bracketing_to_tree(b))
         ranked[lab] = b.dim
-        label_of[b.brackets] = lab
-    covers = []
-    for b in bracketings:
-        # removing any single removable bracket keeps the family laminar
-        for br in b.removable():
-            covers.append((label_of[b.brackets], label_of[frozenset(b.brackets - {br})]))
-    return RankedPoset(ranked, covers, meta={"kind": "K_r", "r": r})
+        masks[lab] = b.mask()
+    return RankedPoset.from_item_masks(ranked, masks, meta={"kind": "K_r", "r": r})
 
 
 # --- the count recurrence ---

@@ -630,47 +630,6 @@ def _gen_fiber(tree: Tree, n: tuple[int, ...]):
     return tuple(out)
 
 
-def _containment_order(ranked: dict[str, int], masks: dict[str, int],
-                       meta: dict) -> RankedPoset:
-    """Faces ordered by reverse containment of their item masks.
-
-    With holders[k] the faces holding item k, the faces at or below face b
-    are those holding every item of b, the AND of holders[k] over b's
-    items; b's covers are that set restricted to the layer one rank down.
-    The closure of those covers must still be the whole containment order:
-    the faces at or above face a are the faces holding no item that a
-    lacks, the AND of ~holders[k] over those items k.  A difference on any
-    pair means some relation skips a rank, and raises PosetError.
-    """
-    labels = sorted(ranked)  # the index order of RankedPoset
-    held = 0
-    for m in masks.values():
-        held |= m
-    holders = [0] * held.bit_length()
-    layers: dict[int, int] = {}
-    for i, lab in enumerate(labels):
-        for k in _bits(masks[lab]):
-            holders[k] |= 1 << i
-        layers[ranked[lab]] = layers.get(ranked[lab], 0) | 1 << i
-    everything = (1 << len(labels)) - 1
-    covers = []
-    for lab in labels:
-        below = everything
-        for k in _bits(masks[lab]):
-            below &= holders[k]
-        covers += [(labels[a], lab) for a in _bits(below & layers.get(ranked[lab] - 1, 0))]
-    P = RankedPoset(ranked, covers, meta)
-
-    for i, lab in enumerate(P.labels):
-        outside = 0  # faces holding some item that lab lacks
-        for k in _bits(held & ~masks[lab]):
-            outside |= holders[k]
-        if everything & ~outside != P._up[i]:
-            raise PosetError(f"order is not the closure of rank-adjacent covers "
-                             f"(some relation skips a rank above {lab!r})")
-    return P
-
-
 DEFAULT_MAX_ELEMENTS = 100_000
 _ENUM_CACHE: dict[tuple[int, ...], RankedPoset] = {}
 
@@ -682,12 +641,13 @@ def enumerate_Wn(n, max_elements: int = DEFAULT_MAX_ELEMENTS) -> RankedPoset:
     explicit (bracketing, 2-brackets) pairs and re-validated against the
     lazily grown relation table of n, which also holds the text and sort
     key each label is built from.  A face's mask has one fixed bit per
-    bracket and, above those, the table id bit of each of its 2-brackets;
-    the faces are ordered by reverse containment of those masks, with the
-    covers of each face read off the intersection of its items' holders,
-    and the holders check of _containment_order confirms that their closure
-    is the whole order.  The construction asserts gradedness, the unique
-    maximum at rank |n| + r - 3 and minimal elements at rank 0.
+    bracket and, above those, the table id bit of each of its 2-brackets.
+    RankedPoset.from_item_masks orders the faces by reverse containment of
+    those masks: each face's down-set is the intersection of its items'
+    holders, its covers are that down-set restricted to the layer one rank
+    lower, and the closure of the covers must give back every down-set.
+    The construction asserts gradedness, the unique maximum at rank
+    |n| + r - 3 and minimal elements at rank 0.
     """
     n = check_nvector(n)
     if max_elements == DEFAULT_MAX_ELEMENTS and n in _ENUM_CACHE:
@@ -709,9 +669,7 @@ def enumerate_Wn(n, max_elements: int = DEFAULT_MAX_ELEMENTS) -> RankedPoset:
     for kb in all_bracketings(r):
         tree = bracketing_to_tree(kb)
         pi = _tree_text(kb)
-        bracket_mask = 0  # bracket (lo, hi) at bit (lo - 1) r + hi - 1, below r * r
-        for lo, hi in kb.brackets:
-            bracket_mask |= 1 << (lo - 1) * r + hi - 1
+        bracket_mask = kb.mask()  # below bit r * r
         for fs, d in _gen_fiber(tree, n):
             tb = TwoBracketing(n, kb.brackets, fs)
             if not validate_two_bracketing(tb):
@@ -728,7 +686,7 @@ def enumerate_Wn(n, max_elements: int = DEFAULT_MAX_ELEMENTS) -> RankedPoset:
         raise VerificationError(f"enumerated {len(ranked)} faces, count oracle says {expected}")
 
     try:
-        poset = _containment_order(
+        poset = RankedPoset.from_item_masks(
             ranked, masks, meta={"kind": "W_n", "n": n, "pi": pi_of, "objects": objects})
     except PosetError as exc:
         # the order was built here, so a rejected order is an engine fault

@@ -3,11 +3,11 @@ from collections import Counter
 
 import pytest
 
-from assoc2.audit import bounded_graded_family
+from assoc2.audit import _all_middle_posets, bounded_graded_family
 from assoc2.poset import (CdPolynomial, FlagVector, NonEulerianError, PosetError,
                           RankedPoset, ab_index, cd_index, fiber_product,
                           _bits, flag_f_vector, flag_h_vector, reduced_product)
-from assoc2.trees import enumerate_Kr
+from assoc2.trees import all_bracketings, bracketing_to_tree, enumerate_Kr, tree_to_text
 from assoc2.twoassoc import enumerate_Wn
 
 
@@ -25,6 +25,92 @@ def diamond():
 def test_constructor_validates_cover_ranks():
     with pytest.raises(PosetError):
         RankedPoset({"a": 0, "b": 2}, [("a", "b")])
+
+
+def test_from_down_sets_reads_the_covers_off_the_layer_below():
+    P = RankedPoset.from_down_sets({"a": 0, "b": 1, "c": 1, "d": 2},
+                                   [0b0001, 0b0011, 0b0101, 0b1111], meta={"kind": "test"})
+    assert P.cover_pairs == ((0, 1), (0, 2), (1, 3), (2, 3))
+    assert P._down == [0b0001, 0b0011, 0b0101, 0b1111] and P.meta == {"kind": "test"}
+
+
+@pytest.mark.parametrize("ranked, down", [
+    ({"a": 0, "c": 2}, [0b01, 0b11]),  # a < c two ranks apart, nothing between
+    ({"a": 0, "b": 1, "c": 2}, [0b001, 0b011, 0b110]),  # a < b < c, but not a < c
+    ({"a": 0, "b": 1, "c": 2}, [0b001, 0b011, 0b011]),  # c leaves itself out
+], ids=["skip-rank", "not-transitive", "not-reflexive"])
+def test_from_down_sets_rejects_an_order_its_covers_do_not_close_to(ranked, down):
+    with pytest.raises(PosetError, match="^order is not the closure of rank-adjacent "
+                                         "covers below 'c'"):
+        RankedPoset.from_down_sets(ranked, down)
+
+
+def test_from_down_sets_needs_one_down_set_per_element():
+    with pytest.raises(PosetError, match="2 down-sets for 3 elements"):
+        RankedPoset.from_down_sets({"a": 0, "b": 1, "c": 2}, [0b001, 0b011])
+
+
+def _Kr_by_removing_one_bracket(r):
+    """enumerate_Kr as it was: each cover removes one bracket other than (1, r)."""
+    ranked, label_of = {}, {}
+    for b in all_bracketings(r):
+        lab = tree_to_text(bracketing_to_tree(b))
+        ranked[lab] = b.dim
+        label_of[b.brackets] = lab
+    covers = [(label_of[b.brackets], label_of[b.brackets - {br}])
+              for b in all_bracketings(r) for br in b.brackets if br != (1, r)]
+    return RankedPoset(ranked, covers, meta={"kind": "K_r", "r": r})
+
+
+@pytest.mark.parametrize("r", range(1, 8))
+def test_Kr_item_mask_covers_match_removing_one_bracket(r):
+    P, Q = enumerate_Kr(r), _Kr_by_removing_one_bracket(r)
+    assert P.labels == Q.labels and P.ranks == Q.ranks and P.meta == Q.meta
+    assert P.cover_pairs == Q.cover_pairs and P._up == Q._up
+
+
+def _graded_family_by_direct_covers(max_elements, min_rank):
+    """bounded_graded_family as it was: Hasse covers from a direct() test on `less`."""
+    out = []
+    for size in range(0, max_elements - 1):
+        for less in _all_middle_posets(size):
+            labels = [f"m{i}" for i in range(size)]
+
+            def direct(j, i):
+                return not any(less[j][z] and less[z][i] for z in range(size))
+
+            covers = []
+            for i in range(size):
+                below = [j for j in range(size) if less[j][i]]
+                covers += [(labels[j], labels[i]) for j in below if direct(j, i)]
+                if not below:
+                    covers.append(("bot", labels[i]))
+                if not any(less[i][j] for j in range(size)):
+                    covers.append((labels[i], "top"))
+            if size == 0:
+                covers.append(("bot", "top"))
+
+            height = {"bot": 0}
+            order = sorted(range(size), key=lambda i: sum(less[j][i] for j in range(size)))
+            for i in order:
+                below = [height[labels[j]] for j in range(size) if less[j][i]]
+                height[labels[i]] = 1 + max(below, default=0)
+            height["top"] = 1 + max((height[labels[i]] for i in range(size)
+                                     if not any(less[i][j] for j in range(size))),
+                                    default=0)
+            try:
+                out.append(RankedPoset({lab: h + min_rank for lab, h in height.items()}, covers))
+            except PosetError:
+                continue
+    return out
+
+
+@pytest.mark.parametrize("min_rank", [-1, -2])
+def test_graded_family_matches_the_direct_cover_builder(min_rank):
+    new = bounded_graded_family(6, min_rank=min_rank)
+    old = _graded_family_by_direct_covers(6, min_rank)
+    assert len(new) == len(old) > 0
+    assert [P.to_json() for P in new] == [P.to_json() for P in old]
 
 
 def test_interning_is_sorted_by_label():

@@ -15,6 +15,19 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+def test_only_poset_reads_the_private_rows_of_a_ranked_poset():
+    # the order, its covers and its closure check live in poset.py alone
+    private = {"_up", "_down", "_up_adj", "_down_adj", "_index", "_rank_masks", "_even", "_odd"}
+    modules = [path for path in sorted(Path(assoc2.__file__).parent.glob("*.py"))
+               if path.name != "poset.py"]
+    assert modules
+    found = [f"{path.name}:{node.lineno} {node.attr}"
+             for path in modules
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Attribute) and node.attr in private]
+    assert found == []
+
+
 def _names_used(path: Path) -> dict[str, set[str]]:
     """Module-level function or class name -> every name and attribute its body mentions."""
     tree = ast.parse(path.read_text(), str(path))
@@ -46,7 +59,7 @@ def test_validation_shares_no_code_with_the_generator_or_the_recurrence():
     # re-validation must stay independent of the generator whose faces it re-checks
     used = _names_used(Path(assoc2.__file__).parent / "twoassoc.py")
     checked = {"validate_two_bracketing", "_TwoBracketTable", "_table", "_stack_ordered",
-               "_stack_ok", "_face_label", "_tree_text", "_containment_order"}
+               "_stack_ok", "_face_label", "_tree_text"}
     generator = {"_gen_fiber", "_screen_stacks", "_shift", "dim_2concat", "_stacks",
                  "_fiber_poly", "count_W"}
     assert checked | generator <= set(used)

@@ -14,7 +14,7 @@ from assoc2.series import coefficient, solve_F
 from assoc2 import twoassoc
 from assoc2.poset import PosetError, RankedPoset
 from assoc2.twoassoc import (SearchSpaceError, TwoBracket, TwoBracketing, VerificationError,
-                             _bracket_children, _containment_order, _fiber_poly, _gen_fiber,
+                             _bracket_children, _fiber_poly, _gen_fiber,
                              _shift, _stack_ordered, _stacks, _table, _tb_oriented,
                              check_nvector, count_W, dim_2concat, enumerate_Wn,
                              forced_two_brackets, forgetful_map, max_two_bracket,
@@ -156,7 +156,7 @@ def test_removables_top_and_bracket_side():
     assert rb == frozenset() and r2b == frozenset()
     from assoc2.trees import Bracketing
     b = Bracketing(4, frozenset({(1, 4), (1, 2)}))
-    assert b.removable() == frozenset({(1, 2)})
+    assert b.mask() == 1 << 3 | 1 << 1  # brackets (1, 4) and (1, 2), at (lo - 1) r + hi - 1
 
 
 def test_restrict_to_bracket_top_cases():
@@ -512,8 +512,9 @@ def test_mask_covers_match_the_object_order(n):
 def test_containment_order_rejects_a_skip_rank_relation():
     # c holds a subset of a's items two ranks up, and no face lies between
     with pytest.raises(PosetError, match="skips a rank"):
-        _containment_order({"a": 0, "c": 2}, {"a": 0b11, "c": 0b01}, {})
-    P = _containment_order({"a": 0, "b": 1, "c": 2}, {"a": 0b111, "b": 0b011, "c": 0b001}, {})
+        RankedPoset.from_item_masks({"a": 0, "c": 2}, {"a": 0b11, "c": 0b01}, {})
+    P = RankedPoset.from_item_masks({"a": 0, "b": 1, "c": 2},
+                                    {"a": 0b111, "b": 0b011, "c": 0b001}, {})
     assert P.cover_pairs == ((0, 1), (1, 2)) and P.leq("a", "c")
 
 
