@@ -51,6 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     enum_k = assoc_sub.add_parser("enumerate", help="enumerate the face poset of K_r")
     enum_k.add_argument("--r", type=int, required=True)
     enum_k.add_argument("--format", choices=["table", "json", "dot"], default="table")
+    enum_k.set_defaults(run=cmd_assoc_enumerate)
 
     wn = sub.add_parser("wn", help="2-associahedron operations")
     wn_sub = wn.add_subparsers(dest="subcommand", required=True)
@@ -58,11 +59,13 @@ def build_parser() -> argparse.ArgumentParser:
     enum_w.add_argument("--n", required=True)
     enum_w.add_argument("--format", choices=["table", "json", "dot"], default="table")
     enum_w.add_argument("--max-elements", type=int, default=ta.DEFAULT_MAX_ELEMENTS)
+    enum_w.set_defaults(run=cmd_wn_enumerate)
 
     counts = sub.add_parser("counts", help="three-oracle count table for W_n")
     counts.add_argument("--n", required=True)
     counts.add_argument("--max-degree", type=int, default=None)
     counts.add_argument("--format", choices=["table", "json"], default="table")
+    counts.set_defaults(run=cmd_counts)
 
     gf = sub.add_parser("gf", help="generating-function operations")
     gf_sub = gf.add_subparsers(dest="subcommand", required=True)
@@ -71,22 +74,26 @@ def build_parser() -> argparse.ArgumentParser:
                           help="tree text, e.g. '(..)' (default: the one-leaf tree)")
     gf_solve.add_argument("--max-degree", type=int, required=True)
     gf_solve.add_argument("--format", choices=["table", "json"], default="json")
+    gf_solve.set_defaults(run=cmd_gf_solve)
 
     verify = sub.add_parser("verify", help="verification commands")
     verify_sub = verify.add_subparsers(dest="subcommand", required=True)
     eul = verify_sub.add_parser("eulerian", help="verify the completed W_n is Eulerian")
     eul.add_argument("--n", required=True)
     eul.add_argument("--format", choices=["table", "json"], default="table")
+    eul.set_defaults(run=cmd_verify_eulerian)
 
     cd = sub.add_parser("cd-index", help="cd-index of a verified completed poset")
     group = cd.add_mutually_exclusive_group(required=True)
     group.add_argument("--n", default=None)
     group.add_argument("--r", type=int, default=None)
     cd.add_argument("--format", choices=["table", "json"], default="table")
+    cd.set_defaults(run=cmd_cd_index)
 
     aud = sub.add_parser("audit", help="run the verification suite")
     aud.add_argument("--profile", choices=["desk"], default="desk")
     aud.add_argument("--format", choices=["table", "json"], default="table")
+    aud.set_defaults(run=cmd_audit)
     return p
 
 
@@ -202,21 +209,7 @@ def main(argv=None, out=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        if args.command == "assoc":
-            return cmd_assoc_enumerate(args, out)
-        if args.command == "wn":
-            return cmd_wn_enumerate(args, out)
-        if args.command == "counts":
-            return cmd_counts(args, out)
-        if args.command == "gf":
-            return cmd_gf_solve(args, out)
-        if args.command == "verify":
-            return cmd_verify_eulerian(args, out)
-        if args.command == "cd-index":
-            return cmd_cd_index(args, out)
-        if args.command == "audit":
-            return cmd_audit(args, out)
-        raise UsageError(f"unknown command {args.command!r}")
+        return args.run(args, out)
     except (ps.NonEulerianError, ta.VerificationError, ArithmeticError) as exc:
         # before ValueError: NonEulerianError is a PosetError, hence a ValueError
         print(f"verification failure: {exc}", file=sys.stderr)

@@ -164,9 +164,6 @@ class TruncatedSeries:
     def constant_term(self) -> LaurentPoly:
         return self.terms.get((0,) * self.var_count, LP_ZERO)
 
-    def truncate_to(self, max_degree: int) -> "TruncatedSeries":
-        return TruncatedSeries(self.var_count, max_degree, self.terms)
-
     def embed(self, var_count: int, offset: int, max_degree: int | None = None) -> "TruncatedSeries":
         """Reinterpret in a wider variable set, own vars at block `offset`."""
         D = self.max_degree if max_degree is None else max_degree

@@ -19,7 +19,6 @@ independent count oracles.
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass
 from functools import cache
 
@@ -135,7 +134,7 @@ class TwoBracketing:
         """Tree text, then the 2-brackets in sort-key order; read from the table of n."""
         table = _table(check_nvector(self.n))
         return _face_label(table, _tree_text(self.bracketing()),
-                           [table.intern(x) for x in self.two_brackets])
+                           sum(1 << table.intern(x) for x in self.two_brackets))
 
     def to_json_dict(self) -> dict:
         rows = []
@@ -248,66 +247,64 @@ def _bracket_children(stored: frozenset[tuple[int, int]],
 
 
 class _TwoBracketTable:
-    """Relation rows over the 2-brackets of one n, grown as validation meets them.
+    """Relation rows over every well-formed 2-bracket of one n, built whole.
 
-    A 2-bracket gets the next id the first time it is interned, after its
-    extents are checked against n; its rows are computed then, once, from
-    tb_inside, tb_compatible and _tb_oriented, and the earlier rows gain its
-    bit.  Bit y of inside[x] says x lies strictly inside y, of compatible[x]
-    that x and y are compatible (x itself included), of below[x] that y sits
-    strictly below x.  points[x] has one bit per marked point of x; text[x]
-    and key[x] are str(x) and x.sort_key(), which labels are built from.
+    Ids follow TwoBracket.sort_key, so a face's id mask read in bit order
+    is its label order.  The rows are computed once, over the pairs of
+    pointed 2-brackets, from tb_inside, tb_compatible and _tb_oriented; a
+    pointless one keeps empty rows (compatible only with itself), and a
+    face holding one fails V3.  No row changes after __init__, so readers
+    need no lock.  Bit y of inside[x] says x lies strictly inside y, of
+    compatible[x] that x and y are compatible (x itself included), of
+    below[x] that y sits strictly below x.  points[x] has one bit per
+    marked point of x; text[x] is str(x).
     """
 
     def __init__(self, n: tuple[int, ...]):
         self.n = n
-        self.ids: dict[TwoBracket, int] = {}
-        self.bracket: list[tuple[int, int]] = []
-        self.size: list[tuple[int, int]] = []  # (points, line width): grows along a chain
-        self.inside: list[int] = []
-        self.compatible: list[int] = []
-        self.below: list[int] = []
-        self.points: list[int] = []
-        self.text: list[str] = []
-        self.key: list[tuple] = []
         self._first_point = list(itertools.accumulate(n, initial=0))
-        self._lock = threading.Lock()
-        self.root = self.intern(max_two_bracket(n))
-        self.forced = sum(1 << self.intern(x) for x in forced_two_brackets(n))
-
-    def intern(self, x: TwoBracket) -> int:
-        k = self.ids.get(x)
-        if k is not None:
-            return k
-        with self._lock:
-            if x in self.ids:
-                return self.ids[x]
-            pts = self._point_mask(x)  # raises on extents outside n
-            k = len(self.ids)
-            inside = below = 0
-            compatible = 1 << k
-            for y, j in self.ids.items():
+        r = len(n)
+        extents = [[("p", a, b) for a in range(1, v + 1) for b in range(a, v + 1)]
+                   + [("g", g) for g in range(v + 1)] for v in n]
+        universe = sorted((TwoBracket(lo, hi, exts)
+                           for lo in range(1, r + 1) for hi in range(lo, r + 1)
+                           for exts in itertools.product(*extents[lo - 1:hi])),
+                          key=TwoBracket.sort_key)
+        self.ids = {x: k for k, x in enumerate(universe)}
+        self.bracket = [x.bracket for x in universe]
+        self.points = [self._point_mask(x) for x in universe]
+        self.size = [(pts.bit_count(), x.hi - x.lo)  # grows along a chain
+                     for x, pts in zip(universe, self.points)]
+        self.text = [str(x) for x in universe]
+        self.inside = [0] * len(universe)
+        self.compatible = [1 << k for k in range(len(universe))]
+        self.below = [0] * len(universe)
+        pointed = [k for k, pts in enumerate(self.points) if pts]
+        for i, k in enumerate(pointed):
+            x = universe[k]
+            for j in pointed[i + 1:]:
+                y = universe[j]
                 if tb_inside(x, y):
-                    inside |= 1 << j
+                    self.inside[k] |= 1 << j
                 elif tb_inside(y, x):
                     self.inside[j] |= 1 << k
                 if tb_compatible(x, y):
-                    compatible |= 1 << j
+                    self.compatible[k] |= 1 << j
                     self.compatible[j] |= 1 << k
                 o = _tb_oriented(x, y)
                 if o == "above":
-                    below |= 1 << j
+                    self.below[k] |= 1 << j
                 elif o == "below":
                     self.below[j] |= 1 << k
-            self.bracket.append(x.bracket)
-            self.size.append((pts.bit_count(), x.hi - x.lo))
-            self.inside.append(inside)
-            self.compatible.append(compatible)
-            self.below.append(below)
-            self.points.append(pts)
-            self.text.append(str(x))
-            self.key.append(x.sort_key())
-            self.ids[x] = k  # published last: a reader never sees a partial row
+        self.root = self.ids[max_two_bracket(n)]
+        self.forced = sum(1 << self.ids[x] for x in forced_two_brackets(n))
+
+    def intern(self, x: TwoBracket) -> int:
+        k = self.ids.get(x)
+        if k is None:
+            self._point_mask(x)  # raises on extents outside n
+            raise VerificationError(f"2-bracket {x} lies within n={self.n} "
+                                    f"but is missing from its table")
         return k
 
     def _point_mask(self, x: TwoBracket) -> int:
@@ -341,14 +338,13 @@ def _tree_text(kb: Bracketing) -> str:
     return tree_to_text(bracketing_to_tree(kb))
 
 
-def _face_label(table: _TwoBracketTable, tree_text: str, ids) -> str:
-    """A face's label from its tree text and the table ids of its 2-brackets.
+def _face_label(table: _TwoBracketTable, tree_text: str, face: int) -> str:
+    """A face's label from its tree text and the table id mask of its 2-brackets.
 
-    The ids are sorted by their key rows, so the label does not depend on
-    the order in which the table met the 2-brackets.
+    Ids follow sort-key order, so the text rows join in bit order.
     """
     text = table.text
-    return tree_text + "|" + ";".join([text[x] for x in sorted(ids, key=table.key.__getitem__)])
+    return tree_text + "|" + ";".join([text[x] for x in _bits(face)])
 
 
 def validate_two_bracketing(tb: TwoBracketing) -> bool:
@@ -356,7 +352,7 @@ def validate_two_bracketing(tb: TwoBracketing) -> bool:
 
     Malformed data (extents out of the range set by n, brackets out of
     range) raises; anything well-formed evaluates to True or False.  The
-    pairwise relations are read from the lazily grown table of n.
+    pairwise relations are read from the table of n, built whole on first use.
     """
     n = check_nvector(tb.n)
     r = len(n)
@@ -639,19 +635,23 @@ def enumerate_Wn(n, max_elements: int = DEFAULT_MAX_ELEMENTS) -> RankedPoset:
 
     Faces are generated fiber by fiber over the trees of K_r, materialized as
     explicit (bracketing, 2-brackets) pairs and re-validated against the
-    lazily grown relation table of n, which also holds the text and sort
-    key each label is built from.  A face's mask has one fixed bit per
+    relation table of n, whose ids follow label order and whose text rows
+    build the labels.  A face's mask has one fixed bit per
     bracket and, above those, the table id bit of each of its 2-brackets.
     RankedPoset.from_item_masks orders the faces by reverse containment of
     those masks: each face's down-set is the intersection of its items'
     holders, its covers are that down-set restricted to the layer one rank
     lower, and the closure of the covers must give back every down-set.
     The construction asserts gradedness, the unique maximum at rank
-    |n| + r - 3 and minimal elements at rank 0.
+    |n| + r - 3 and minimal elements at rank 0.  The poset is memoized by n;
+    a memoized poset is checked against the bound by its own size.
     """
     n = check_nvector(n)
-    if max_elements == DEFAULT_MAX_ELEMENTS and n in _ENUM_CACHE:
-        return _ENUM_CACHE[n]
+    poset = _ENUM_CACHE.get(n)
+    if poset is not None:
+        if len(poset) > max_elements:
+            raise SearchSpaceError(f"W_{n} has {len(poset)} faces, above the bound {max_elements}")
+        return poset
     r = len(n)
 
     expected = 0
@@ -674,14 +674,14 @@ def enumerate_Wn(n, max_elements: int = DEFAULT_MAX_ELEMENTS) -> RankedPoset:
             tb = TwoBracketing(n, kb.brackets, fs)
             if not validate_two_bracketing(tb):
                 raise VerificationError(f"enumerated face fails validation: {tb.label()}")
-            ids = [table.intern(x) for x in fs]
-            lab = _face_label(table, pi, ids)
+            face = sum(1 << table.intern(x) for x in fs)
+            lab = _face_label(table, pi, face)
             if lab in ranked:
                 raise VerificationError(f"duplicate face across fibers: {lab}")
             ranked[lab] = d
             objects[lab] = tb
             pi_of[lab] = pi
-            masks[lab] = bracket_mask | sum(1 << x for x in ids) << r * r
+            masks[lab] = bracket_mask | face << r * r
     if len(ranked) != expected:
         raise VerificationError(f"enumerated {len(ranked)} faces, count oracle says {expected}")
 
@@ -697,8 +697,7 @@ def enumerate_Wn(n, max_elements: int = DEFAULT_MAX_ELEMENTS) -> RankedPoset:
         raise VerificationError("unique maximum is not the forced-core element at |n|+r-3")
     if any(poset.rank_of(m) != 0 for m in poset.minimal_elements()):
         raise VerificationError("a minimal face has nonzero rank")
-    if max_elements == DEFAULT_MAX_ELEMENTS:
-        _ENUM_CACHE[n] = poset
+    _ENUM_CACHE[n] = poset
     return poset
 
 

@@ -71,3 +71,38 @@ def test_validation_shares_no_code_with_the_generator_or_the_recurrence():
                     reached.add(other)
                     todo.append(other)
         assert reached & generator == set(), name
+
+
+def test_only_the_table_constructor_writes_table_rows():
+    # a table is complete before it is published and never changes, so readers take no lock
+    fields = {"ids", "inside", "compatible", "below", "points", "bracket", "size", "text"}
+    mutators = {"append", "extend", "insert", "pop", "popitem", "remove", "clear", "update",
+                "setdefault", "sort", "reverse", "__setitem__", "__delitem__"}
+    path = Path(assoc2.__file__).parent / "twoassoc.py"
+    tree = ast.parse(path.read_text(), str(path))
+    table = next(node for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == "_TwoBracketTable")
+    init = next(node for node in table.body
+                if isinstance(node, ast.FunctionDef) and node.name == "__init__")
+
+    def field(node):  # the table field that `node`, or a subscript of it, names
+        while isinstance(node, ast.Subscript):
+            node = node.value
+        return node.attr if isinstance(node, ast.Attribute) and node.attr in fields else None
+
+    def written(root):  # (line, field) for each store, delete or mutating call on a field
+        for node in ast.walk(root):
+            if isinstance(node, (ast.Attribute, ast.Subscript)) \
+                    and isinstance(node.ctx, (ast.Store, ast.Del)):
+                name = field(node)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in mutators:
+                name = field(node.func.value)
+            else:
+                continue
+            if name:
+                yield node.lineno, name
+
+    inside = set(written(init))
+    assert {name for _, name in inside} == fields
+    assert sorted(set(written(tree)) - inside) == []

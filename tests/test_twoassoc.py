@@ -14,7 +14,7 @@ from assoc2.series import coefficient, solve_F
 from assoc2 import twoassoc
 from assoc2.poset import PosetError, RankedPoset
 from assoc2.twoassoc import (SearchSpaceError, TwoBracket, TwoBracketing, VerificationError,
-                             _bracket_children, _fiber_poly, _gen_fiber,
+                             _TwoBracketTable, _bracket_children, _fiber_poly, _gen_fiber,
                              _shift, _stack_ordered, _stacks, _table, _tb_oriented,
                              check_nvector, count_W, dim_2concat, enumerate_Wn,
                              forced_two_brackets, forgetful_map, max_two_bracket,
@@ -113,9 +113,16 @@ def test_enumerate_rank_counts(n, expect):
     assert enumerate_Wn(n).rank_counts() == expect
 
 
-def test_enumerate_respects_element_bound():
+def test_enumerate_respects_element_bound(monkeypatch):
+    monkeypatch.setattr(twoassoc, "_ENUM_CACHE", {})
     with pytest.raises(SearchSpaceError):
         enumerate_Wn((2, 1), max_elements=5)
+    P = enumerate_Wn((2, 1))
+    # a memo hit checks the bound against the poset's own size, not the count oracle
+    monkeypatch.setattr(twoassoc, "count_W", None)
+    with pytest.raises(SearchSpaceError, match="17 faces"):
+        enumerate_Wn((2, 1), max_elements=5)
+    assert enumerate_Wn((2, 1), max_elements=17) is P
 
 
 @pytest.mark.parametrize("n,rank", [((1, 1), 1), ((2,), 0), ((2, 1), 2), ((1,), 0)])
@@ -469,9 +476,13 @@ def test_table_validation_matches_the_object_predicate(n, monkeypatch):
     assert all(expected[:len(faces)]) and not all(expected[len(faces):])
     monkeypatch.setattr(twoassoc, "_TABLES", {})
     assert [validate_two_bracketing(tb) for tb in cands] == expected
-    # interning in the opposite order gives other ids and the same answers
+    ids = _table(n).ids
+    assert list(ids) == sorted(ids, key=TwoBracket.sort_key)
+    assert list(ids.values()) == list(range(len(ids)))
+    # ids depend on n alone: validating in the opposite order gives the same ids and answers
     monkeypatch.setattr(twoassoc, "_TABLES", {})
     assert [validate_two_bracketing(tb) for tb in reversed(cands)] == expected[::-1]
+    assert _table(n).ids == ids
 
 
 def _object_label(tb):
@@ -488,7 +499,7 @@ def test_table_labels_match_the_object_label(n, monkeypatch):
     faces = [P.meta["objects"][lab] for lab in labels]
     assert [_object_label(tb) for tb in faces] == labels
     assert [tb.label() for tb in faces] == labels
-    # a table that met the 2-brackets in the opposite order gives the same labels
+    # a fresh table first used in the opposite order gives the same labels
     monkeypatch.setattr(twoassoc, "_TABLES", {})
     assert [tb.label() for tb in reversed(faces)] == labels[::-1]
     monkeypatch.setattr(twoassoc, "_ENUM_CACHE", {})
@@ -550,6 +561,27 @@ def test_malformed_input_raises_and_is_not_interned(monkeypatch):
             with pytest.raises(ValueError):
                 validate_two_bracketing(tb)
         assert set(_table(n).ids) == known
+
+
+def test_a_pointless_member_fails_validation_and_keeps_its_label():
+    n = (1, 0, 2)
+    top = top_element(n)
+    tb = TwoBracketing(n, top.brackets, top.two_brackets | {TwoBracket(2, 2, (("g", 0),))})
+    assert not _object_validate(tb)
+    assert validate_two_bracketing(tb) is False
+    assert tb.label() == _object_label(tb)
+
+
+def test_a_table_miss_within_range_is_a_verification_error(monkeypatch):
+    n = (2, 1)
+    table = _TwoBracketTable(n)
+    x = TwoBracket(1, 2, (("p", 1, 1), ("g", 0)))
+    assert x in table.ids
+    monkeypatch.setattr(table, "ids", {y: k for y, k in table.ids.items() if y != x})
+    with pytest.raises(VerificationError, match="missing from its table"):
+        table.intern(x)
+    with pytest.raises(ValueError, match="exceeds n_2=1"):
+        table.intern(TwoBracket(2, 2, (("g", 2),)))
 
 
 def _table_rows(table):
