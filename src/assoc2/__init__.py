@@ -15,9 +15,9 @@ from .trees import (Bracketing, Tree, all_bracketings, bracketing_to_tree, conca
                     corolla, count_K, dim_tree, enumerate_Kr, parse_tree,
                     root_decompose, tree_to_bracketing, tree_to_text)
 from .twoassoc import (SearchSpaceError, TwoBracket, TwoBracketing, VerificationError,
-                       count_W, dim_2concat, enumerate_Wn, forgetful_map, removables,
-                       restrict_to_bracket, top_element, top_rank,
-                       validate_two_bracketing)
+                       count_W, dim_2concat, enumerate_Wn, face_two_bracketings,
+                       forgetful_map, removables, restrict_to_bracket, top_element,
+                       top_rank, validate_two_bracketing)
 from .audit import (AuditReport, audit_counts, audit_desk, audit_eulerian,
                     audit_identities)
 
@@ -31,8 +31,8 @@ __all__ = [
     "ab_index", "all_bracketings", "audit_counts", "audit_desk", "audit_eulerian",
     "audit_identities", "bracketing_to_tree", "cd_index", "check_f_closed_form",
     "coefficient", "concat", "corolla", "count_K", "count_W", "dim_2concat",
-    "dim_tree", "enumerate_Kr", "enumerate_Wn", "eval_t_minus1", "fiber_product",
-    "flag_f_vector", "flag_h_vector", "forgetful_map", "geometric_inverse",
+    "dim_tree", "enumerate_Kr", "enumerate_Wn", "eval_t_minus1", "face_two_bracketings",
+    "fiber_product", "flag_f_vector", "flag_h_vector", "forgetful_map", "geometric_inverse",
     "parse_tree", "reduced_product", "removables", "restrict_to_bracket",
     "root_decompose", "solve_F", "solve_f", "top_element", "top_rank",
     "tree_to_bracketing", "tree_to_text", "validate_two_bracketing",

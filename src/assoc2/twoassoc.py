@@ -50,6 +50,15 @@ class TwoBracket:
     hi: int
     extents: tuple[tuple, ...]
 
+    def __hash__(self):
+        # the value the generated dataclass hash returns, computed once: the
+        # generator and intern hash the same shared screens over and over
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild on unpickling, so the cached hash never crosses processes
+        return TwoBracket, (self.lo, self.hi, self.extents)
+
     def __post_init__(self):
         if not (1 <= self.lo <= self.hi):
             raise ValueError(f"bad line interval [{self.lo}..{self.hi}]")
@@ -64,6 +73,7 @@ class TwoBracket:
                     raise ValueError(f"malformed gap extent {e!r}")
             else:
                 raise ValueError(f"malformed extent {e!r}")
+        object.__setattr__(self, "_hash", hash((self.lo, self.hi, self.extents)))
 
     @property
     def bracket(self) -> tuple[int, int]:
@@ -152,12 +162,15 @@ class TwoBracketing:
                 "two_brackets": rows}
 
 
+def _top_bracketing(r: int) -> Bracketing:
+    """The bracketing of the maximum: the full bracket alone (none for r = 1)."""
+    return Bracketing(r, frozenset({(1, r)}) if r >= 2 else frozenset())
+
+
 def top_element(n) -> TwoBracketing:
     """Only the forced members: the unique maximum of W_n."""
     n = check_nvector(n)
-    r = len(n)
-    brackets = frozenset({(1, r)}) if r >= 2 else frozenset()
-    return TwoBracketing(n, brackets, forced_two_brackets(n))
+    return TwoBracketing(n, _top_bracketing(len(n)).brackets, forced_two_brackets(n))
 
 
 def top_rank(n) -> int:
@@ -250,14 +263,17 @@ class _TwoBracketTable:
     """Relation rows over every well-formed 2-bracket of one n, built whole.
 
     Ids follow TwoBracket.sort_key, so a face's id mask read in bit order
-    is its label order.  The rows are computed once, over the pairs of
-    pointed 2-brackets, from tb_inside, tb_compatible and _tb_oriented; a
-    pointless one keeps empty rows (compatible only with itself), and a
-    face holding one fails V3.  No row changes after __init__, so readers
-    need no lock.  Bit y of inside[x] says x lies strictly inside y, of
-    compatible[x] that x and y are compatible (x itself included), of
-    below[x] that y sits strictly below x.  points[x] has one bit per
-    marked point of x; text[x] is str(x).
+    is its label order, and V1-V6 are decided on that mask alone
+    (_valid_face): a face's 2-brackets are interned once, then never looked
+    at again.  The rows are computed once, over the pairs of pointed
+    2-brackets, from tb_inside, tb_compatible and _tb_oriented; a pointless
+    one keeps empty rows (compatible only with itself), and a face holding
+    one fails V3.  No row changes after __init__, so readers need no lock.
+    Bit y of inside[x] says x lies strictly inside y, of compatible[x] that
+    x and y are compatible (x itself included), of below[x] that y sits
+    strictly below x.  points[x] has one bit per marked point of x; text[x]
+    is str(x).  on_bracket[b] has the id bit of every 2-bracket over the
+    line interval b, and pointless those of the 2-brackets without points.
     """
 
     def __init__(self, n: tuple[int, ...]):
@@ -272,7 +288,11 @@ class _TwoBracketTable:
                           key=TwoBracket.sort_key)
         self.ids = {x: k for k, x in enumerate(universe)}
         self.bracket = [x.bracket for x in universe]
+        self.on_bracket = {}
+        for k, b in enumerate(self.bracket):
+            self.on_bracket[b] = self.on_bracket.get(b, 0) | 1 << k
         self.points = [self._point_mask(x) for x in universe]
+        self.pointless = sum(1 << k for k, pts in enumerate(self.points) if not pts)
         self.size = [(pts.bit_count(), x.hi - x.lo)  # grows along a chain
                      for x, pts in zip(universe, self.points)]
         self.text = [str(x) for x in universe]
@@ -351,84 +371,102 @@ def validate_two_bracketing(tb: TwoBracketing) -> bool:
     """Decide the defining conditions for a structurally well-formed candidate.
 
     Malformed data (extents out of the range set by n, brackets out of
-    range) raises; anything well-formed evaluates to True or False.  The
-    pairwise relations are read from the table of n, built whole on first use.
+    range) raises; anything well-formed evaluates to True or False.  Each
+    2-bracket is interned once into the face's id mask in the table of n,
+    built whole on first use, and _valid_face decides V1-V6 on that mask,
+    as it does for every enumerated face.
     """
     n = check_nvector(tb.n)
-    r = len(n)
     table = _table(n)
-    elems = [table.intern(x) for x in tb.two_brackets]
+    face = 0
+    for x in tb.two_brackets:
+        face |= 1 << table.intern(x)
     for lo, hi in tb.brackets:
-        if not (1 <= lo <= hi <= r):
+        if not (1 <= lo <= hi <= len(n)):
             raise ValueError(f"bracket ({lo},{hi}) out of range")
-    face = sum(1 << x for x in elems)  # distinct ids: the sum is the union
-    bracket, points = table.bracket, table.points
+    return _valid_face(table, tb.brackets, face)
+
+
+def _valid_face(table: _TwoBracketTable, brackets: frozenset[tuple[int, int]],
+                face: int) -> bool:
+    """V1-V6 for the 2-brackets with table id mask `face` over the stored `brackets`.
+
+    The brackets must lie within 1..r; every relation is read from the rows
+    of the table, and no 2-bracket object is touched.
+    """
+    n, on_bracket = table.n, table.on_bracket
+    r = len(n)
 
     # (V1) the bracket family is a bracketing
     try:
-        tb.bracketing()
+        Bracketing(r, brackets)
     except ValueError:
         return False
 
     # (V3) forced members present; every 2-bracket encloses a point
-    if table.forced & ~face or not all(points[x] for x in elems):
+    if table.forced & ~face or face & table.pointless:
         return False
 
     # (V2) projections land in the bracketing
-    stored = tb.brackets
-    all_brackets = stored | {(i, i) for i in range(1, r + 1)}
-    if any(bracket[x] not in all_brackets for x in elems):
+    allowed = 0
+    for b in brackets:
+        allowed |= on_bracket[b]
+    for i in range(1, r + 1):
+        allowed |= on_bracket[i, i]
+    if face & ~allowed:
         return False
 
     # (V4) pairwise nesting or consistent vertical order
-    if any(face & ~table.compatible[x] for x in elems):
+    elems = list(_bits(face))
+    compatible = table.compatible
+    if any(face & ~compatible[x] for x in elems):
         return False
 
     # (V5)/(V6) the containment forest parses into stack and split nodes
+    inside, size = table.inside, table.size
     children = dict.fromkeys(elems, 0)
     for x in elems:
         if x == table.root:
             continue
-        containers = sorted(_bits(table.inside[x] & face), key=table.size.__getitem__)
+        containers = inside[x] & face
         if not containers:
             return False
-        for a, b in zip(containers, containers[1:]):
-            if not table.inside[a] >> b & 1:
-                return False  # containers must form a chain
-        children[containers[0]] |= 1 << x
+        parent = min(_bits(containers), key=size.__getitem__)
+        if inside[parent] & face != containers ^ 1 << parent:
+            return False  # containers must form a chain
+        children[parent] |= 1 << x
 
-    witnessed = {bracket[x] for x in elems}
-    for b in stored:
-        block = n[b[0] - 1:b[1]]
-        if any(block) and b not in witnessed:
-            return False
+    for lo, hi in brackets:
+        if any(n[lo - 1:hi]) and not face & on_bracket[lo, hi]:
+            return False  # a bracket with points needs a 2-bracket over it
 
+    bracket, points = table.bracket, table.points
     for node in elems:
-        ch = list(_bits(children[node]))
+        ch = children[node]
         if not ch:
-            if table.size[node][0] > 1:
+            if size[node][0] > 1:
                 return False  # singletons inside would be children
             continue
-        same = [x for x in ch if bracket[x] == bracket[node]]
+        same = ch & on_bracket[bracket[node]]
         if same:
             # stack node: >= 2 screens over the same bracket splitting the points
-            if len(same) != len(ch) or len(same) < 2:
+            if same != ch or ch.bit_count() < 2:
                 return False
-            if not _stack_ok(table, same, node):
+            if not _stack_ok(table, list(_bits(ch)), node):
                 return False
         else:
             # split node: children sit exactly on the bracket-tree branches
-            branches = _bracket_children(stored, bracket[node])
-            if any(bracket[x] not in branches for x in ch):
+            branches = _bracket_children(brackets, bracket[node])
+            groups = [ch & on_bracket[b] for b in branches]
+            if ch != sum(groups):  # disjoint groups: the sum is the union
                 return False
             covered = 0
-            for x in ch:
+            for x in _bits(ch):
                 covered |= points[x]
             if covered != points[node]:
                 return False
-            for b in branches:
-                group = [x for x in ch if bracket[x] == b]
-                if len(group) > 1 and not _stack_ordered(table, group):
+            for group in groups:
+                if group.bit_count() > 1 and not _stack_ordered(table, list(_bits(group))):
                     return False
     return True
 
@@ -633,11 +671,13 @@ _ENUM_CACHE: dict[tuple[int, ...], RankedPoset] = {}
 def enumerate_Wn(n, max_elements: int = DEFAULT_MAX_ELEMENTS) -> RankedPoset:
     """Face poset of W_n with forgetful labels.
 
-    Faces are generated fiber by fiber over the trees of K_r, materialized as
-    explicit (bracketing, 2-brackets) pairs and re-validated against the
-    relation table of n, whose ids follow label order and whose text rows
-    build the labels.  A face's mask has one fixed bit per
-    bracket and, above those, the table id bit of each of its 2-brackets.
+    Faces are generated fiber by fiber over the trees of K_r.  Each
+    generated 2-bracket is interned once into the face's id mask in the
+    relation table of n; _valid_face re-decides V1-V6 on that mask, and the
+    same mask builds the label (the ids follow label order) and the order.
+    No TwoBracketing is built; face_two_bracketings yields them on demand.
+    A face's poset mask has one fixed bit per bracket and, above those, the
+    table id bit of each of its 2-brackets.
     RankedPoset.from_item_masks orders the faces by reverse containment of
     those masks: each face's down-set is the intersection of its items'
     holders, its covers are that down-set restricted to the layer one rank
@@ -662,24 +702,24 @@ def enumerate_Wn(n, max_elements: int = DEFAULT_MAX_ELEMENTS) -> RankedPoset:
         raise SearchSpaceError(f"W_{n} has {expected} faces, above the bound {max_elements}")
 
     ranked: dict[str, int] = {}
-    objects: dict[str, TwoBracketing] = {}
     pi_of: dict[str, str] = {}
     masks: dict[str, int] = {}
     table = _table(n)
+    intern = table.intern
     for kb in all_bracketings(r):
         tree = bracketing_to_tree(kb)
         pi = _tree_text(kb)
         bracket_mask = kb.mask()  # below bit r * r
         for fs, d in _gen_fiber(tree, n):
-            tb = TwoBracketing(n, kb.brackets, fs)
-            if not validate_two_bracketing(tb):
-                raise VerificationError(f"enumerated face fails validation: {tb.label()}")
-            face = sum(1 << table.intern(x) for x in fs)
+            face = 0
+            for x in fs:
+                face |= 1 << intern(x)
             lab = _face_label(table, pi, face)
+            if not _valid_face(table, kb.brackets, face):
+                raise VerificationError(f"enumerated face fails validation: {lab}")
             if lab in ranked:
                 raise VerificationError(f"duplicate face across fibers: {lab}")
             ranked[lab] = d
-            objects[lab] = tb
             pi_of[lab] = pi
             masks[lab] = bracket_mask | face << r * r
     if len(ranked) != expected:
@@ -687,18 +727,32 @@ def enumerate_Wn(n, max_elements: int = DEFAULT_MAX_ELEMENTS) -> RankedPoset:
 
     try:
         poset = RankedPoset.from_item_masks(
-            ranked, masks, meta={"kind": "W_n", "n": n, "pi": pi_of, "objects": objects})
+            ranked, masks, meta={"kind": "W_n", "n": n, "pi": pi_of})
     except PosetError as exc:
         # the order was built here, so a rejected order is an engine fault
         raise VerificationError(f"face order of W_{n}: {exc}") from exc
 
-    top = top_element(n).label()
+    top = _face_label(table, _tree_text(_top_bracketing(r)), table.forced)
     if poset.unique_max() != top or poset.rank_of(top) != top_rank(n):
         raise VerificationError("unique maximum is not the forced-core element at |n|+r-3")
     if any(poset.rank_of(m) != 0 for m in poset.minimal_elements()):
         raise VerificationError("a minimal face has nonzero rank")
     _ENUM_CACHE[n] = poset
     return poset
+
+
+def face_two_bracketings(n):
+    """(label, TwoBracketing) for each face of W_n, one at a time.
+
+    The faces come in generation order, after enumerate_Wn (default bound)
+    has validated them; each object is built when reached and kept by no one.
+    """
+    n = check_nvector(n)
+    enumerate_Wn(n)
+    for kb in all_bracketings(len(n)):
+        for fs, _d in _gen_fiber(bracketing_to_tree(kb), n):
+            tb = TwoBracketing(n, kb.brackets, fs)
+            yield tb.label(), tb
 
 
 # --- the count recurrence (second oracle) ---

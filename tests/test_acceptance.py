@@ -14,7 +14,7 @@ from assoc2.poset import cd_index
 from assoc2.series import (check_f_closed_form, coefficient, eval_t_minus1,
                            solve_F, solve_f, t_minus1_closed_form)
 from assoc2.trees import count_K, enumerate_Kr, tree_to_text
-from assoc2.twoassoc import enumerate_Wn, trees_of_Kr
+from assoc2.twoassoc import enumerate_Wn, face_two_bracketings, trees_of_Kr
 
 
 def report(num, ok, detail=""):
@@ -69,7 +69,7 @@ def test_criterion_4_r1_reduction(capsys):
         W = enumerate_Wn((q,))
         K = enumerate_Kr(q)
         mapping = {}
-        for lab, tb in W.meta["objects"].items():
+        for lab, tb in face_two_bracketings((q,)):
             stored = frozenset(
                 (x.extents[0][1], x.extents[0][2]) for x in tb.two_brackets
                 if x.extents[0][0] == "p" and x.extents[0][1] != x.extents[0][2])

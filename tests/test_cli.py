@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 from functools import cache
@@ -92,6 +93,22 @@ def test_cd_index_commands():
     assert code == 0
     doc = json.loads(out)
     assert doc["cd_index"] == {"cc": 1, "d": 6}
+
+
+@pytest.mark.parametrize("argv,sha256", [
+    ("cd-index --n 3,0,2 --format json",
+     "ada4f363dd55a298ecdb95cf7a8a6c2c609c3dba4bfe3ca9cfca03ad264bb655"),
+    ("cd-index --n 2,0,3 --format json",
+     "97fa2114ed89c78d0d8139382833fd1b75231214ed7a1d0c532b9c5158ca5a00"),
+    ("wn enumerate --n 2,2 --format json",
+     "efa8dd76a930f7953d0ad0c3137b21b7026e542f1e98d58ff8e80cd6d7024059"),
+    ("wn enumerate --n 2,1,1 --format dot",
+     "0c7dfcc06deb736da635f1931f0ddde85795d96dc8590649d149c11c7bbbd6da"),
+])
+def test_output_bytes_are_pinned(argv, sha256):
+    # a faster engine must print exactly the same bytes
+    code, out = run(argv.split())
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 def test_cache_env_variable_is_ignored(tmp_path, monkeypatch):

@@ -58,8 +58,8 @@ def test_enumeration_and_count_oracles_share_no_code():
 def test_validation_shares_no_code_with_the_generator_or_the_recurrence():
     # re-validation must stay independent of the generator whose faces it re-checks
     used = _names_used(Path(assoc2.__file__).parent / "twoassoc.py")
-    checked = {"validate_two_bracketing", "_TwoBracketTable", "_table", "_stack_ordered",
-               "_stack_ok", "_face_label", "_tree_text"}
+    checked = {"validate_two_bracketing", "_valid_face", "_TwoBracketTable", "_table",
+               "_stack_ordered", "_stack_ok", "_face_label", "_tree_text"}
     generator = {"_gen_fiber", "_screen_stacks", "_shift", "dim_2concat", "_stacks",
                  "_fiber_poly", "count_W"}
     assert checked | generator <= set(used)
@@ -75,7 +75,8 @@ def test_validation_shares_no_code_with_the_generator_or_the_recurrence():
 
 def test_only_the_table_constructor_writes_table_rows():
     # a table is complete before it is published and never changes, so readers take no lock
-    fields = {"ids", "inside", "compatible", "below", "points", "bracket", "size", "text"}
+    fields = {"ids", "inside", "compatible", "below", "points", "bracket", "size", "text",
+              "on_bracket", "pointless"}
     mutators = {"append", "extend", "insert", "pop", "popitem", "remove", "clear", "update",
                 "setdefault", "sort", "reverse", "__setitem__", "__delitem__"}
     path = Path(assoc2.__file__).parent / "twoassoc.py"

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import pickle
 import random
 import sys
 import threading
@@ -15,11 +17,11 @@ from assoc2 import twoassoc
 from assoc2.poset import PosetError, RankedPoset
 from assoc2.twoassoc import (SearchSpaceError, TwoBracket, TwoBracketing, VerificationError,
                              _TwoBracketTable, _bracket_children, _fiber_poly, _gen_fiber,
-                             _shift, _stack_ordered, _stacks, _table, _tb_oriented,
+                             _shift, _stack_ordered, _stacks, _table, _tb_oriented, _valid_face,
                              check_nvector, count_W, dim_2concat, enumerate_Wn,
-                             forced_two_brackets, forgetful_map, max_two_bracket,
-                             point_singleton, removables, restrict_to_bracket, tb_compatible,
-                             tb_inside, top_element, top_rank, trees_of_Kr,
+                             face_two_bracketings, forced_two_brackets, forgetful_map,
+                             max_two_bracket, point_singleton, removables, restrict_to_bracket,
+                             tb_compatible, tb_inside, top_element, top_rank, trees_of_Kr,
                              validate_two_bracketing)
 
 
@@ -91,8 +93,9 @@ def test_validate_rejects_inconsistent_orientation():
 def test_W11_has_three_faces_and_vertex_shape():
     P = enumerate_Wn((1, 1))
     assert P.rank_counts() == {0: 2, 1: 1}
+    objs = dict(face_two_bracketings((1, 1)))
     for lab in P.labels:
-        tb = P.meta["objects"][lab]
+        tb = objs[lab]
         assert validate_two_bracketing(tb)
         rem_b, rem_2b = removables(tb)
         assert rem_b == frozenset()
@@ -136,7 +139,7 @@ def test_top_element_rank(n, rank):
 def test_forgetful_map():
     n = (2, 1)
     P = enumerate_Wn(n)
-    objs = P.meta["objects"]
+    objs = dict(face_two_bracketings(n))
     top = P.unique_max()
     assert forgetful_map(objs[top]).brackets == frozenset({(1, 2)})
     # order preserving: smaller faces have larger bracket sets
@@ -177,8 +180,7 @@ def test_restrict_to_bracket_top_cases():
 
 def test_restrict_to_bracket_forgets_other_lines():
     # a W_(2,1) vertex with a point cluster on line 1 restricts to the K_2 face
-    P = enumerate_Wn((2, 1))
-    objs = P.meta["objects"]
+    objs = dict(face_two_bracketings((2, 1)))
     cluster = TwoBracket(1, 1, (("p", 1, 2),))
     carriers = [tb for tb in objs.values() if cluster in tb.two_brackets]
     assert carriers
@@ -190,8 +192,7 @@ def test_restrict_to_bracket_forgets_other_lines():
 
 @pytest.mark.parametrize("n", [(1, 1), (2, 1)])
 def test_restrict_to_bracket_always_valid(n):
-    P = enumerate_Wn(n)
-    for tb in P.meta["objects"].values():
+    for _, tb in face_two_bracketings(n):
         for b in sorted(tb.brackets | {(i, i) for i in range(1, len(n) + 1)}):
             if any(tb.n[b[0] - 1:b[1]]):
                 out = restrict_to_bracket(tb, b)  # raises if invalid
@@ -469,14 +470,18 @@ def _perturbed(n, faces, sample, rng):
 
 @pytest.mark.parametrize("n", desk_nvectors() + [(3, 0, 2)], ids=str)
 def test_table_validation_matches_the_object_predicate(n, monkeypatch):
-    faces = sorted(enumerate_Wn(n).meta["objects"].values(), key=TwoBracketing.label)
+    faces = sorted((tb for _, tb in face_two_bracketings(n)), key=TwoBracketing.label)
     rng = random.Random(f"perturb {n}")
     cands = _perturbed(n, faces, rng.sample(faces, min(len(faces), 40)), rng)
     expected = [_object_validate(tb) for tb in cands]
     assert all(expected[:len(faces)]) and not all(expected[len(faces):])
     monkeypatch.setattr(twoassoc, "_TABLES", {})
     assert [validate_two_bracketing(tb) for tb in cands] == expected
-    ids = _table(n).ids
+    # the mask core alone, on each candidate's id mask, as enumerate_Wn calls it
+    table = _table(n)
+    assert [_valid_face(table, tb.brackets, sum(1 << table.intern(x) for x in tb.two_brackets))
+            for tb in cands] == expected
+    ids = table.ids
     assert list(ids) == sorted(ids, key=TwoBracket.sort_key)
     assert list(ids.values()) == list(range(len(ids)))
     # ids depend on n alone: validating in the opposite order gives the same ids and answers
@@ -496,7 +501,9 @@ def _object_label(tb):
 def test_table_labels_match_the_object_label(n, monkeypatch):
     P = enumerate_Wn(n)
     labels = list(P.labels)
-    faces = [P.meta["objects"][lab] for lab in labels]
+    objs = dict(face_two_bracketings(n))
+    assert len(objs) == len(labels)  # one object per face, each under its own label
+    faces = [objs[lab] for lab in labels]
     assert [_object_label(tb) for tb in faces] == labels
     assert [tb.label() for tb in faces] == labels
     # a fresh table first used in the opposite order gives the same labels
@@ -509,7 +516,7 @@ def test_table_labels_match_the_object_label(n, monkeypatch):
 @pytest.mark.parametrize("n", desk_nvectors(), ids=str)
 def test_mask_covers_match_the_object_order(n):
     P = enumerate_Wn(n)
-    objects = P.meta["objects"]
+    objects = dict(face_two_bracketings(n))
 
     def leq(x, y):  # the order as from_order probed it, on every pair
         a, b = objects[x], objects[y]
@@ -540,7 +547,20 @@ def test_a_dropped_cover_is_a_verification_error(monkeypatch):
         enumerate_Wn((2, 1))
 
 
-def test_malformed_input_raises_and_is_not_interned(monkeypatch):
+def _table_size(n):
+    """Well-formed 2-brackets of n: per line interval, the product of each line's
+    n_i (n_i + 1) / 2 point runs plus n_i + 1 gaps."""
+    total = 0
+    for lo in range(len(n)):
+        for hi in range(lo, len(n)):
+            count = 1
+            for v in n[lo:hi + 1]:
+                count *= v * (v + 1) // 2 + v + 1
+            total += count
+    return total
+
+
+def test_malformed_input_raises(monkeypatch):
     n = (2, 1)
     top = top_element(n)
     bad = [TwoBracketing(n, top.brackets, top.two_brackets | {x}) for x in [
@@ -554,13 +574,58 @@ def test_malformed_input_raises_and_is_not_interned(monkeypatch):
         else:
             enumerate_Wn(n)
             assert validate_two_bracketing(top)
-        known = set(_table(n).ids)
         for tb in bad:
             with pytest.raises(ValueError):
                 _object_validate(tb)
             with pytest.raises(ValueError):
                 validate_two_bracketing(tb)
-        assert set(_table(n).ids) == known
+        assert len(_table(n).ids) == _table_size(n) == 27
+    assert len(_table((3, 0, 2)).ids) == _table_size((3, 0, 2)) == 93
+
+
+def test_enumeration_interns_each_reference_once_and_builds_no_face_object(monkeypatch):
+    n = (3, 0, 2)
+    calls = {"intern": 0, "TwoBracketing": 0}
+    intern, init = _TwoBracketTable.intern, TwoBracketing.__init__
+
+    def counted_intern(self, x):
+        calls["intern"] += 1
+        return intern(self, x)
+
+    def counted_init(self, *args):
+        calls["TwoBracketing"] += 1
+        init(self, *args)
+
+    references = sum(len(fs) for tree in trees_of_Kr(len(n)) for fs, _d in _gen_fiber(tree, n))
+    monkeypatch.setattr(twoassoc, "_ENUM_CACHE", {})
+    monkeypatch.setattr(_TwoBracketTable, "intern", counted_intern)
+    monkeypatch.setattr(TwoBracketing, "__init__", counted_init)
+    P = enumerate_Wn(n)
+    assert calls == {"intern": references, "TwoBracketing": 0}
+    assert references == 60792 and len(P) == 4577
+    monkeypatch.undo()
+    # the objects come one per face, on demand
+    labels = [lab for lab, _tb in face_two_bracketings(n)]
+    assert len(labels) == len(P) and sorted(labels) == sorted(P.labels)
+
+
+def test_two_bracket_hash_is_cached_and_unchanged():
+    n = (3, 0, 2)
+    table = _table(n)
+    for x in table.ids:
+        assert hash(x) == hash((x.lo, x.hi, x.extents))
+        # built apart, equal 2-brackets hash equal and share one table id
+        twin = TwoBracket(x.lo, x.hi, tuple(tuple(e) for e in x.extents))
+        assert twin == x and twin is not x
+        assert hash(twin) == hash(x) and table.intern(twin) == table.intern(x)
+        # pickling rebuilds the 2-bracket instead of carrying its cached hash
+        again = pickle.loads(pickle.dumps(x))
+        assert again == x and hash(again) == hash(x)
+    x = max_two_bracket(n)
+    for field in ("lo", "hi", "extents"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(x, field, getattr(x, field))
+    assert hash(x) == hash((x.lo, x.hi, x.extents))
 
 
 def test_a_pointless_member_fails_validation_and_keeps_its_label():
@@ -595,7 +660,7 @@ def _table_rows(table):
 
 def test_concurrent_validation_builds_the_same_table(monkeypatch):
     n = (2, 2)
-    faces = sorted(enumerate_Wn(n).meta["objects"].values(), key=TwoBracketing.label)
+    faces = sorted((tb for _, tb in face_two_bracketings(n)), key=TwoBracketing.label)
     monkeypatch.setattr(twoassoc, "_TABLES", {})
     assert all(validate_two_bracketing(tb) for tb in faces)
     expected = _table_rows(_table(n))
@@ -639,7 +704,7 @@ _MIRROR_NS = [(2, 1), (1, 2), (3, 1), (2, 1, 1), (1, 0, 2), (0, 2, 1), (3, 2)]
 def test_line_reflection_is_a_poset_isomorphism(n):
     # checks the order relation itself, independently of every count oracle
     P, Q = enumerate_Wn(n), enumerate_Wn(n[::-1])
-    objs = P.meta["objects"]
+    objs = dict(face_two_bracketings(n))
     image = {lab: _reflect_lines(objs[lab]).label() for lab in P.labels}
     assert sorted(image.values()) == sorted(Q.labels)
     assert all(P.rank_of(lab) == Q.rank_of(image[lab]) for lab in P.labels)
@@ -662,7 +727,7 @@ def _flip_vertical(tb):
 def test_vertical_flip_is_a_poset_automorphism(n):
     # like the line reflection, this checks the order relation and no count
     P = enumerate_Wn(n)
-    objs = P.meta["objects"]
+    objs = dict(face_two_bracketings(n))
     image = {lab: _flip_vertical(objs[lab]).label() for lab in P.labels}
     assert sorted(image.values()) == sorted(P.labels)
     assert any(image[lab] != lab for lab in P.labels)
@@ -829,7 +894,7 @@ def test_antichain_stacks_are_facets(n):
     P = enumerate_Wn(n)
     r = len(n)
     seen = 0
-    for lab, tb in P.meta["objects"].items():
+    for lab, tb in face_two_bracketings(n):
         rem_b, rem_2b = removables(tb)
         if rem_b or not rem_2b:
             continue
