@@ -11,6 +11,7 @@ derived report is reproducible.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
@@ -33,6 +34,12 @@ class RankedPoset:
 
     def __init__(self, ranked_labels: Mapping[str, int], covers: Iterable[tuple[str, str]],
                  meta: Mapping[str, object] | None = None):
+        self._elements(ranked_labels, meta)
+        self._close({(self._index[lo], self._index[hi]) for lo, hi in covers})
+
+    def _elements(self, ranked_labels: Mapping[str, int],
+                  meta: Mapping[str, object] | None) -> None:
+        """Intern the labels in sorted order; set their ranks and rank layers."""
         labels = sorted(ranked_labels)
         if len(labels) != len(set(labels)):
             raise PosetError("duplicate element labels")
@@ -43,27 +50,32 @@ class RankedPoset:
         self.ranks: tuple[int, ...] = tuple(ranked_labels[lab] for lab in labels)
         self.meta = dict(meta) if meta else {}
 
-        cover_pairs = set()
-        for lo, hi in covers:
-            i, j = self._index[lo], self._index[hi]
-            if self.ranks[j] != self.ranks[i] + 1:
-                raise PosetError(
-                    f"cover {lo!r} -> {hi!r} must raise rank by 1 "
-                    f"(got {self.ranks[i]} -> {self.ranks[j]})")
-            cover_pairs.add((i, j))
+        rk_masks: dict[int, int] = {}
+        for i, r in enumerate(self.ranks):
+            rk_masks[r] = rk_masks.get(r, 0) | (1 << i)
+        self._rank_masks = sorted(rk_masks.items())
+        # the rank masks are disjoint, so their sums are unions
+        self._even = sum(m for r, m in self._rank_masks if r % 2 == 0)
+        self._odd = sum(m for r, m in self._rank_masks if r % 2)
+
+    def _close(self, cover_pairs: Iterable[tuple[int, int]]) -> None:
+        """Store the covers, index pairs that must raise rank by one, and their closure."""
         self.cover_pairs: tuple[tuple[int, int], ...] = tuple(sorted(cover_pairs))
 
-        n = len(labels)
+        n, labels, ranks = len(self.labels), self.labels, self.ranks
         up_adj = [[] for _ in range(n)]
         down_adj = [[] for _ in range(n)]
         for i, j in self.cover_pairs:
+            if ranks[j] != ranks[i] + 1:
+                raise PosetError(f"cover {labels[i]!r} -> {labels[j]!r} must raise rank by 1 "
+                                 f"(got {ranks[i]} -> {ranks[j]})")
             up_adj[i].append(j)
             down_adj[j].append(i)
         self._up_adj = up_adj
         self._down_adj = down_adj
 
         # Reflexive-transitive closure as bitmasks, filled in rank order.
-        order = sorted(range(n), key=lambda i: self.ranks[i])
+        order = sorted(range(n), key=ranks.__getitem__)
         up = [0] * n
         for i in reversed(order):
             m = 1 << i
@@ -79,14 +91,6 @@ class RankedPoset:
         self._up = up
         self._down = down
 
-        rk_masks: dict[int, int] = {}
-        for i, r in enumerate(self.ranks):
-            rk_masks[r] = rk_masks.get(r, 0) | (1 << i)
-        self._rank_masks = sorted(rk_masks.items())
-        # the rank masks are disjoint, so their sums are unions
-        self._even = sum(m for r, m in self._rank_masks if r % 2 == 0)
-        self._odd = sum(m for r, m in self._rank_masks if r % 2)
-
     # --- constructors ---
 
     @classmethod
@@ -95,8 +99,9 @@ class RankedPoset:
                    meta: Mapping[str, object] | None = None) -> "RankedPoset":
         """Build from a comparability predicate; covers are derived.
 
-        Only pairs with strictly increasing rank are probed; see
-        from_down_sets for the covers and the closure check.
+        Only pairs with strictly increasing rank are probed, so a relation
+        whose rank does not increase is never seen: callers must pass orders
+        that raise rank.  See from_down_sets for the covers and the closure check.
         """
         labels = sorted(ranked_labels)
         n = len(labels)
@@ -142,16 +147,15 @@ class RankedPoset:
         restricted to the layer one rank lower.  The closure of those covers
         must give back every down-set, or the poset is rejected.
         """
-        labels = sorted(ranked_labels)
-        if len(down) != len(labels):
-            raise PosetError(f"{len(down)} down-sets for {len(labels)} elements")
-        layers: dict[int, int] = {}
-        for i, lab in enumerate(labels):
-            layers[ranked_labels[lab]] = layers.get(ranked_labels[lab], 0) | 1 << i
-        covers = [(labels[a], lab) for i, lab in enumerate(labels)
-                  for a in _bits(down[i] & layers.get(ranked_labels[lab] - 1, 0))]
-        P = cls(ranked_labels, covers, meta)
-        for i, lab in enumerate(labels):
+        P = cls.__new__(cls)
+        P._elements(ranked_labels, meta)
+        if len(down) != len(P.labels):
+            raise PosetError(f"{len(down)} down-sets for {len(P.labels)} elements")
+        layer = dict(P._rank_masks)
+        ids = list(P._index.values())  # 0..n-1 as _index holds them: covers reuse these ints
+        P._close([(ids[a], i) for i, r in zip(ids, P.ranks)
+                  for a in _bits(down[i] & layer.get(r - 1, 0))])
+        for i, lab in enumerate(P.labels):
             if P._down[i] != down[i]:
                 raise PosetError(f"order is not the closure of rank-adjacent covers below "
                                  f"{lab!r} (a relation skips a rank, or is not transitive)")
@@ -415,17 +419,23 @@ def fiber_product(posets: Sequence[RankedPoset], base: RankedPoset,
     """Fiber product over order-preserving maps into a common base.
 
     Elements are tuples with equal image, ordered componentwise; the rank of a
-    tuple is sum(rank_i) - (k-1) * rank(common image).  Construction fails if
-    some cover would not raise rank by one.
+    tuple is sum(rank_i) - (k-1) * rank(common image).  A tuple's down-set is
+    the AND over coordinates c of the tuples whose c-th coordinate lies below
+    its own.  Construction fails if those down-sets are not the closure of
+    their rank-one covers, as when two comparable tuples share a rank.
     """
     if not posets or len(posets) != len(maps):
         raise PosetError("need k >= 1 posets with one map each")
+    by_image: list[dict[str, list[int]]] = []
     for P, f in zip(posets, maps):
         if set(f) != set(P.labels):
             raise PosetError("map domain must be the whole poset")
-        for x in P.labels:
+        d: dict[str, list[int]] = {}
+        for i, x in enumerate(P.labels):
             if f[x] not in base._index:
                 raise PosetError(f"map image {f[x]!r} not in base")
+            d.setdefault(f[x], []).append(i)
+        by_image.append(d)
         for i, j in P.cover_pairs:
             if not base.leq(f[P.labels[i]], f[P.labels[j]]):
                 raise PosetError("map is not order-preserving")
@@ -433,41 +443,26 @@ def fiber_product(posets: Sequence[RankedPoset], base: RankedPoset,
     if k == 1:
         return posets[0]
 
-    by_image: list[dict[str, list[str]]] = []
-    for P, f in zip(posets, maps):
-        d: dict[str, list[str]] = {}
-        for x in P.labels:
-            d.setdefault(f[x], []).append(x)
-        by_image.append(d)
-
     ranked: dict[str, int] = {}
-    tuples: dict[str, tuple[str, ...]] = {}
+    tuples: dict[str, tuple[int, ...]] = {}
     for t in sorted(set.intersection(*(set(d) for d in by_image))):
-        base_rank = base.rank_of(t)
-        stack: list[tuple[str, ...]] = [()]
-        for d in by_image:
-            stack = [tup + (x,) for tup in stack for x in d[t]]
-        for tup in stack:
-            lab = "(" + ",".join(tup) + ")"
-            ranked[lab] = sum(P.rank_of(x) for P, x in zip(posets, tup)) - (k - 1) * base_rank
+        for tup in itertools.product(*(d[t] for d in by_image)):
+            lab = "(" + ",".join(P.labels[x] for P, x in zip(posets, tup)) + ")"
+            ranked[lab] = sum(P.ranks[x] for P, x in zip(posets, tup)) - (k - 1) * base.rank_of(t)
             tuples[lab] = tup
     if not ranked:
         raise PosetError("fiber product is empty")
 
-    if len(base) == 1:
-        # full product: covers raise exactly one coordinate by a cover
-        lab_of = {tup: lab for lab, tup in tuples.items()}
-        covers = []
-        for lab, tup in tuples.items():
-            for i, (P, x) in enumerate(zip(posets, tup)):
-                for j2 in P._up_adj[P.index(x)]:
-                    covers.append((lab, lab_of[tup[:i] + (P.labels[j2],) + tup[i + 1:]]))
-        return RankedPoset(ranked, covers)
-
-    def leq(x: str, y: str) -> bool:
-        return all(P.leq(a, b) for P, a, b in zip(posets, tuples[x], tuples[y]))
-
-    return RankedPoset.from_order(ranked, leq)
+    coords = [tuples[lab] for lab in sorted(ranked)]
+    down = [(1 << len(coords)) - 1] * len(coords)
+    for c, P in enumerate(posets):
+        at = [0] * len(P)  # at[x]: the tuples whose c-th coordinate is x
+        for i, tup in enumerate(coords):
+            at[tup[c]] |= 1 << i
+        under = [sum(at[z] for z in _bits(dx)) for dx in P._down]  # disjoint: sums are unions
+        for i, tup in enumerate(coords):
+            down[i] &= under[tup[c]]
+    return RankedPoset.from_down_sets(ranked, down)
 
 
 # --- flag vectors and the cd-index ---

@@ -407,7 +407,8 @@ def _valid_face(table: _TwoBracketTable, brackets: frozenset[tuple[int, int]],
     if table.forced & ~face or face & table.pointless:
         return False
 
-    # (V2) projections land in the bracketing
+    # (V2) projections land in the bracketing; implied by the parse, as the root
+    # lies on (1, r) and each child on its parent's bracket or on one of its branches
     allowed = 0
     for b in brackets:
         allowed |= on_bracket[b]
@@ -436,6 +437,7 @@ def _valid_face(table: _TwoBracketTable, brackets: frozenset[tuple[int, int]],
             return False  # containers must form a chain
         children[parent] |= 1 << x
 
+    # implied by the parse: a point's containers step down the bracket tree from (1, r)
     for lo, hi in brackets:
         if any(n[lo - 1:hi]) and not face & on_bracket[lo, hi]:
             return False  # a bracket with points needs a 2-bracket over it
@@ -445,11 +447,12 @@ def _valid_face(table: _TwoBracketTable, brackets: frozenset[tuple[int, int]],
         ch = children[node]
         if not ch:
             if size[node][0] > 1:
-                return False  # singletons inside would be children
+                return False  # implied: its points' singletons would be children
             continue
         same = ch & on_bracket[bracket[node]]
         if same:
             # stack node: >= 2 screens over the same bracket splitting the points
+            # (>= 2 is implied by _stack_ok: a lone screen with all the points is the node)
             if same != ch or ch.bit_count() < 2:
                 return False
             if not _stack_ok(table, list(_bits(ch)), node):
@@ -464,7 +467,9 @@ def _valid_face(table: _TwoBracketTable, brackets: frozenset[tuple[int, int]],
             for x in _bits(ch):
                 covered |= points[x]
             if covered != points[node]:
-                return False
+                return False  # implied: each point's singleton lies inside a child
+            # implied by V4: unnested siblings over one branch are pairwise oriented,
+            # and orientation over one bracket is transitive
             for group in groups:
                 if group.bit_count() > 1 and not _stack_ordered(table, list(_bits(group))):
                     return False

@@ -150,11 +150,11 @@ def _negate_geometric_inverse(monkeypatch):
 def _reject_face_order(monkeypatch):
     # a dropped cover leaves its relation out of the closure, which the
     # holders check of the face order reports as a PosetError
-    init = RankedPoset.__init__
+    close = RankedPoset._close
 
-    def drop_first_cover(self, ranked, covers, meta=None):
-        init(self, ranked, sorted(covers)[1:], meta)
-    monkeypatch.setattr(RankedPoset, "__init__", drop_first_cover)
+    def drop_first_cover(self, cover_pairs):
+        close(self, sorted(cover_pairs)[1:])
+    monkeypatch.setattr(RankedPoset, "_close", drop_first_cover)
     monkeypatch.setattr(twoassoc, "_ENUM_CACHE", {})
     return ["wn", "enumerate", "--n", "1,1"], "face order of W_(1, 1): "
 

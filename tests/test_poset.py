@@ -1,4 +1,5 @@
 import copy
+import itertools
 from collections import Counter
 
 import pytest
@@ -316,6 +317,80 @@ def test_fiber_product_over_nontrivial_base():
                        [f, {"q" + x: t for x, t in f.items()}])
     # fiber over c0: 1 tuple at rank 0; over c1: 4 tuples at ranks 1,2,2,3
     assert sorted(FP.ranks) == [0, 1, 2, 2, 3]
+    assert {(FP.labels[i], FP.labels[j]) for i, j in FP.cover_pairs} == {
+        ("(p0,qp0)", "(p1,qp1)"), ("(p1,qp1)", "(p1,qp2)"), ("(p1,qp1)", "(p2,qp1)"),
+        ("(p1,qp2)", "(p2,qp2)"), ("(p2,qp1)", "(p2,qp2)")}
+
+
+def test_fiber_product_rejects_a_relation_within_one_rank():
+    # (p0,q0) < (p1,q1) componentwise, but both have rank 0 + 0 - 0 = 1 + 1 - 2
+    base = chain(0, 1, 2)
+    P = chain(0, 1).relabel({"c0": "p0", "c1": "p1"})
+    Q = P.relabel({"p0": "q0", "p1": "q1"})
+    with pytest.raises(PosetError, match="^order is not the closure"):
+        fiber_product([P, Q], base, [{"p0": "c0", "p1": "c2"}, {"q0": "c0", "q1": "c2"}])
+
+
+def _fiber_tuples(posets, base, maps):
+    """fiber_product's elements as it built them: label -> rank, label -> label tuple."""
+    ranked, tuples = {}, {}
+    for t in base.labels:
+        for tup in itertools.product(*[[x for x in P.labels if f[x] == t]
+                                       for P, f in zip(posets, maps)]):
+            lab = "(" + ",".join(tup) + ")"
+            ranked[lab] = (sum(P.rank_of(x) for P, x in zip(posets, tup))
+                           - (len(posets) - 1) * base.rank_of(t))
+            tuples[lab] = tup
+    return ranked, tuples
+
+
+def _fiber_product_by_order(posets, base, maps):
+    """fiber_product over a general base as it was: the componentwise order, probed."""
+    ranked, tuples = _fiber_tuples(posets, base, maps)
+
+    def leq(x, y):
+        return all(P.leq(a, b) for P, a, b in zip(posets, tuples[x], tuples[y]))
+    return RankedPoset.from_order(ranked, leq)
+
+
+def _fiber_product_by_direct_covers(posets, base, maps):
+    """fiber_product over a point as it was: a cover raises one coordinate by a cover."""
+    ranked, tuples = _fiber_tuples(posets, base, maps)
+    lab_of = {tup: lab for lab, tup in tuples.items()}
+    covers = [(lab, lab_of[tup[:i] + (P.labels[j],) + tup[i + 1:]])
+              for lab, tup in tuples.items() for i, (P, x) in enumerate(zip(posets, tup))
+              for j in P._up_adj[P.index(x)]]
+    return RankedPoset(ranked, covers)
+
+
+def _W_fiber_family(r, k, weight_max):
+    """audit_fiber_products' products over K_r with k factors of weight <= weight_max."""
+    K = enumerate_Kr(r)
+    vecs = [n for n in itertools.product(range(weight_max + 1), repeat=r)
+            if any(n) and sum(n) <= weight_max]
+    for ms in itertools.combinations_with_replacement(vecs, k):
+        posets, maps = [], []
+        for idx, m in enumerate(ms):
+            W = enumerate_Wn(m)
+            rename = {lab: f"{idx}:{lab}" for lab in W.labels}
+            posets.append(W.relabel(rename))
+            maps.append({rename[lab]: t for lab, t in W.meta["pi"].items()})
+        yield posets, K, maps
+
+
+@pytest.mark.parametrize("r, weight_max, reference", [
+    (1, 3, _fiber_product_by_direct_covers),
+    (2, 3, _fiber_product_by_direct_covers),
+    (3, 2, _fiber_product_by_order),
+], ids=["K1-direct-covers", "K2-direct-covers", "K3-order"])
+def test_fiber_product_matches_the_constructions_it_replaced(r, weight_max, reference):
+    n_products = 0
+    for posets, K, maps in _W_fiber_family(r, 2, weight_max):
+        FP, ref = fiber_product(posets, K, maps), reference(posets, K, maps)
+        assert FP.labels == ref.labels and FP.ranks == ref.ranks
+        assert FP.cover_pairs == ref.cover_pairs and FP._up == ref._up
+        n_products += 1
+    assert n_products == {1: 6, 2: 45, 3: 45}[r]
 
 
 def test_flag_vectors_pentagon():

@@ -107,3 +107,23 @@ def test_only_the_table_constructor_writes_table_rows():
     inside = set(written(init))
     assert {name for _, name in inside} == fields
     assert sorted(set(written(tree)) - inside) == []
+
+
+def test_only_the_graded_test_family_probes_an_order():
+    # from_order probes every pair of increasing rank; W_n, K_r and fiber products
+    # hand their down-sets to from_down_sets, which their structure gives directly
+    callers = set()
+    for path in sorted(Path(assoc2.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        functions = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        functions += [(f"{node.name}.{fn.name}", fn) for node in tree.body
+                      if isinstance(node, ast.ClassDef)
+                      for fn in node.body if isinstance(fn, ast.FunctionDef)]
+        for name, fn in functions:
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and "from_order" in (
+                        getattr(node.func, "attr", None), getattr(node.func, "id", None)):
+                    callers.add(f"{path.stem}.{name}")
+    assert callers == {"audit.bounded_graded_family"}
+    # perfbench/layers.py wraps these by name through RankedPoset.__dict__
+    assert {"from_order", "__init__", "mobius"} <= set(assoc2.RankedPoset.__dict__)

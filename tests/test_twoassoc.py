@@ -537,11 +537,11 @@ def test_containment_order_rejects_a_skip_rank_relation():
 
 
 def test_a_dropped_cover_is_a_verification_error(monkeypatch):
-    init = RankedPoset.__init__
+    close = RankedPoset._close
 
-    def drop_last_cover(self, ranked, covers, meta=None):
-        init(self, ranked, sorted(covers)[:-1], meta)
-    monkeypatch.setattr(RankedPoset, "__init__", drop_last_cover)
+    def drop_last_cover(self, cover_pairs):
+        close(self, sorted(cover_pairs)[:-1])
+    monkeypatch.setattr(RankedPoset, "_close", drop_last_cover)
     monkeypatch.setattr(twoassoc, "_ENUM_CACHE", {})
     with pytest.raises(VerificationError, match=r"^face order of W_\(2, 1\): order is not"):
         enumerate_Wn((2, 1))
