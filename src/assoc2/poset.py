@@ -422,7 +422,9 @@ def fiber_product(posets: Sequence[RankedPoset], base: RankedPoset,
     tuple is sum(rank_i) - (k-1) * rank(common image).  A tuple's down-set is
     the AND over coordinates c of the tuples whose c-th coordinate lies below
     its own.  Construction fails if those down-sets are not the closure of
-    their rank-one covers, as when two comparable tuples share a rank.
+    their rank-one covers, as when two comparable tuples share a rank.  A
+    tuple's label joins its coordinates' labels with commas; two tuples that
+    get one label raise PosetError.
     """
     if not posets or len(posets) != len(maps):
         raise PosetError("need k >= 1 posets with one map each")
@@ -448,6 +450,8 @@ def fiber_product(posets: Sequence[RankedPoset], base: RankedPoset,
     for t in sorted(set.intersection(*(set(d) for d in by_image))):
         for tup in itertools.product(*(d[t] for d in by_image)):
             lab = "(" + ",".join(P.labels[x] for P, x in zip(posets, tup)) + ")"
+            if lab in ranked:
+                raise PosetError(f"fiber product label {lab} names two tuples")
             ranked[lab] = sum(P.ranks[x] for P, x in zip(posets, tup)) - (k - 1) * base.rank_of(t)
             tuples[lab] = tup
     if not ranked:

@@ -9,12 +9,21 @@ solution one total degree at a time: degree d of the cleared equation only
 depends on strictly smaller degrees, so each degree is computed once, from
 two degree-d convolutions.  The equation as written, with its geometric
 series, is then checked on the finished candidate.
+
+Every convolution of two series goes through one kernel, _degree_product.
+It packs each t-polynomial into one integer and each exponent vector into
+one mixed-radix code (Kronecker substitution), so the product of two terms
+is one integer product and one addition of codes, and it unpacks each
+coefficient of the result once.
 """
 
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from functools import cache
+from itertools import chain
+from operator import mul
 from typing import Mapping
 
 from .trees import Tree, dim_tree, root_decompose, tree_to_text
@@ -202,17 +211,91 @@ def _ungraded(var_count: int, layers: list[dict]) -> TruncatedSeries:
                            {n: p for layer in layers for n, p in layer.items()})
 
 
+def _extent(polys: list[dict[int, int]]) -> tuple[int, int, int]:
+    """(lowest exponent, exponent span, largest |coefficient|) of nonzero polys."""
+    exps = set().union(*polys)
+    values = list(chain.from_iterable(map(dict.values, polys)))
+    lo = min(exps)
+    return lo, max(exps) - lo + 1, max(max(values), -min(values))
+
+
+def _pack(layer: list, weights: list[int], k: int, lo: int) -> list[tuple[int, int]]:
+    """(exponent code, packed polynomial) for each (n, coeffs) of a layer."""
+    packed = []
+    for n, coeffs in layer:
+        v = 0
+        for e, c in coeffs.items():
+            v += c << k * (e - lo)
+        packed.append((sum(map(mul, n, weights)), v))
+    return packed
+
+
 def _degree_product(a: list[dict], b: list[dict], d: int, out: dict | None = None) -> dict:
-    """Degree-d part of a * b for graded series a, b, added into `out` when given."""
+    """Degree-d part of a * b for graded series a, b, added into `out` when given.
+
+    Kronecker substitution turns each product of two t-polynomials into one
+    integer product.  A nonzero polynomial becomes the integer
+    sum_e c_e 2^(k (e - lo)), with lo the lowest exponent on its side, and an
+    exponent vector n of a degree-<= d term becomes the mixed-radix code
+    sum_i n_i (d+1)^i; every component of a degree-d vector is at most d, so
+    two codes add without a carry.  The kernel sums v1 * v2 per code sum and
+    reads each sum back once as signed k-bit digits, digit j being the
+    coefficient of t^(j + lo_a + lo_b).
+
+    The digit width k holds every such coefficient.  With c1 + c2 fixed, c1
+    determines c2, so one code collects at most
+    terms = sum over layer pairs of min(|a_d1|, |b_(d-d1)|) polynomial
+    products.  One product's digit j is a sum of at most span coefficient
+    products, span being the smaller of the two sides' exponent spans, and
+    each is at most A B in absolute value (A, B the largest |coefficient| on
+    each side).  So no digit exceeds A B span terms in absolute value, which
+    is below 2^(k-2) for k = bitlen(A B span terms) + 2: every digit lies
+    well inside the signed k-bit range.  Zero polynomials are skipped.
+    """
     out = {} if out is None else out
+    pairs = []  # the nonzero polynomials of each layer pair that meets
     for d1 in range(d + 1):
-        b_layer = b[d - d1]
-        for n1, p1 in a[d1].items():
-            for n2, p2 in b_layer.items():
-                n = tuple(x + y for x, y in zip(n1, n2))
-                prod = p1 * p2
-                q = out.get(n)
-                out[n] = prod if q is None else q + prod
+        la = [(n, p.coeffs) for n, p in a[d1].items() if p]
+        lb = [(n, p.coeffs) for n, p in b[d - d1].items() if p]
+        if la and lb:
+            pairs.append((la, lb))
+    if not pairs:
+        return out
+    lo_a, span_a, A = _extent([cs for la, _ in pairs for _, cs in la])
+    lo_b, span_b, B = _extent([cs for _, lb in pairs for _, cs in lb])
+    terms = sum(min(len(la), len(lb)) for la, lb in pairs)
+    k = (A * B * min(span_a, span_b) * terms).bit_length() + 2
+    r = len(pairs[0][0][0][0])  # the length of any exponent vector
+    weights = [(d + 1) ** i for i in range(r)]
+
+    acc: defaultdict[int, int] = defaultdict(int)
+    for la, lb in pairs:
+        pb = _pack(lb, weights, k, lo_b)
+        for c1, v1 in _pack(la, weights, k, lo_a):
+            for c2, v2 in pb:
+                acc[c1 + c2] += v1 * v2
+
+    mask, half = (1 << k) - 1, 1 << (k - 1)
+    for code, v in acc.items():
+        if not v:
+            continue  # the products cancel
+        coeffs = {}
+        e = lo_a + lo_b
+        while v:
+            c = v & mask
+            if c >= half:
+                c -= mask + 1
+            if c:
+                coeffs[e] = c
+            v = (v - c) >> k
+            e += 1
+        n = [0] * r
+        for i in range(r):
+            code, n[i] = divmod(code, d + 1)
+        n = tuple(n)
+        prod = LaurentPoly(coeffs)
+        q = out.get(n)
+        out[n] = prod if q is None else q + prod
     return out
 
 

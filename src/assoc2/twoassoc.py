@@ -496,13 +496,17 @@ def _stack_ordered(table: _TwoBracketTable, group: list[int]) -> bool:
 
 
 def _stack_ok(table: _TwoBracketTable, same: list[int], node: int) -> bool:
+    # implied by V4, as at split nodes: siblings are unnested (a sibling inside
+    # another would have that one, not the node, as its smallest container), so
+    # pairwise oriented, and orientation over one bracket is transitive
     if not _stack_ordered(table, same):
         return False
     covered = 0
     for x in same:
         if covered & table.points[x]:
-            return False
+            return False  # implied by the order: on a shared line one lies under the other
         covered |= table.points[x]
+    # implied, as at split nodes: each point's singleton lies inside a child
     return covered == table.points[node]
 
 

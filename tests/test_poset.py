@@ -1,5 +1,6 @@
 import copy
 import itertools
+import re
 from collections import Counter
 
 import pytest
@@ -329,6 +330,15 @@ def test_fiber_product_rejects_a_relation_within_one_rank():
     Q = P.relabel({"p0": "q0", "p1": "q1"})
     with pytest.raises(PosetError, match="^order is not the closure"):
         fiber_product([P, Q], base, [{"p0": "c0", "p1": "c2"}, {"q0": "c0", "q1": "c2"}])
+
+
+def test_fiber_product_rejects_two_tuples_with_one_label():
+    # (a,b | c) and (a | b,c) both join to "(a,b,c)"
+    point = RankedPoset({"*": 0}, [])
+    P = RankedPoset({"a,b": 0, "a": 0}, [])
+    Q = RankedPoset({"c": 0, "b,c": 0}, [])
+    with pytest.raises(PosetError, match=re.escape("label (a,b,c) names two tuples")):
+        fiber_product([P, Q], point, [dict.fromkeys(P.labels, "*"), dict.fromkeys(Q.labels, "*")])
 
 
 def _fiber_tuples(posets, base, maps):

@@ -1,3 +1,5 @@
+import itertools
+import random
 import re
 from functools import cache
 
@@ -134,6 +136,99 @@ def test_solve_F_rejects_a_wrong_candidate(monkeypatch):
         series.solve_F(corolla(2), 4)
 
 
+def _dict_degree_product(a, b, d, out=None):
+    """series._degree_product as it was: one LaurentPoly product per pair of terms."""
+    out = {} if out is None else out
+    for d1 in range(d + 1):
+        b_layer = b[d - d1]
+        for n1, p1 in a[d1].items():
+            for n2, p2 in b_layer.items():
+                n = tuple(x + y for x, y in zip(n1, n2))
+                prod = p1 * p2
+                q = out.get(n)
+                out[n] = prod if q is None else q + prod
+    return out
+
+
+def _nonzero(terms):
+    return {n: p for n, p in terms.items() if p}
+
+
+def _vectors(r, d):
+    """The exponent vectors of r variables with total degree d."""
+    return [n for n in itertools.product(range(d + 1), repeat=r) if sum(n) == d]
+
+
+def _random_layers(rng, r, D, big):
+    """Graded layers 0..D: some empty, some terms zero, Laurent exponents in -4..4."""
+    layers = []
+    for d in range(D + 1):
+        layer = {}
+        if rng.random() < 0.8:
+            for n in _vectors(r, d):
+                if rng.random() < 0.6:
+                    exps = rng.sample(range(-4, 5), rng.randint(0, 4))
+                    layer[n] = LaurentPoly({e: rng.randint(-big, big) for e in exps})
+        layers.append(layer)
+    return layers
+
+
+def _cancelling_layers(r, d):
+    """x_1^d cancels across two layer pairs and, for r >= 2, x_1 x_r^(d-1) within one."""
+    p, q = LaurentPoly({-2: 3, 5: -(2 ** 90)}), LaurentPoly({1: 7, 2: 1})
+
+    def vec(k1, kr):
+        n = [0] * r
+        n[0] += k1
+        n[-1] += kr
+        return tuple(n)
+    a = [{} for _ in range(d + 1)]
+    b = [{} for _ in range(d + 1)]
+    a[0] = {vec(0, 0): LaurentPoly()}
+    a[1], a[2] = {vec(1, 0): p}, {vec(2, 0): p}
+    b[d - 1], b[d - 2] = {vec(d - 1, 0): q}, {vec(d - 2, 0): -q}
+    cancelled = [vec(d, 0)]
+    if r > 1:
+        a[1][vec(0, 1)] = p
+        b[d - 1].update({vec(0, d - 1): q, vec(1, d - 2): -q})
+        cancelled.append(vec(1, d - 1))
+    return a, b, cancelled
+
+
+def test_degree_product_matches_the_pair_loop():
+    rng = random.Random(20240614)
+    for r in range(1, 5):
+        for d in range(7):
+            for big in (1, 9, 2 ** 64, 2 ** 200):
+                for _ in range(3):
+                    a = _random_layers(rng, r, d, big)
+                    b = a if rng.random() < 0.25 else _random_layers(rng, r, d, big)
+                    got, want = series._degree_product(a, b, d), _dict_degree_product(a, b, d)
+                    assert _nonzero(got) == _nonzero(want), (r, d, big)
+                    seed = {n: LaurentPoly({0: 1}) for n in _vectors(r, d)[:2]}
+                    got = series._degree_product(a, b, d, dict(seed))
+                    want = _dict_degree_product(a, b, d, dict(seed))
+                    assert _nonzero(got) == _nonzero(want), (r, d, big)
+    for r in range(1, 5):
+        a, b, cancelled = _cancelling_layers(r, 4)
+        want = _dict_degree_product(a, b, 4)
+        assert all(n in want and not want[n] for n in cancelled)
+        got = series._degree_product(a, b, 4)
+        assert _nonzero(got) == _nonzero(want) and not any(n in got for n in cancelled)
+
+
+@pytest.mark.parametrize("d", [0, 3, 6])
+def test_degree_product_digits_at_the_bound(d):
+    # one variable, every layer full, every coefficient +A on the same span:
+    # the middle digit is exactly A * A * span * (d + 1), the bound the kernel
+    # sizes its digits by
+    A, span = 2 ** 200 - 1, 5
+    a = [{(j,): LaurentPoly(dict.fromkeys(range(-2, 3), A))} for j in range(d + 1)]
+    got = series._degree_product(a, a, d)
+    assert got == _dict_degree_product(a, a, d)
+    assert got[(d,)].coefficient(0) == A * A * span * (d + 1)  # t^0: middle of t^-4..t^4
+
+
 def _reference_f(max_degree):
     """solve_f as a whole-series iteration: D rounds of the fixed-point map."""
     x = TruncatedSeries.variable(1, max_degree, 1)
@@ -175,13 +270,17 @@ def _reference_F(tree, max_degree):
     return F
 
 
-def test_solvers_match_whole_series_iteration():
-    for D in range(1, 13):
-        assert solve_f(D) == _reference_f(D), D
-    for r, D_max in ((1, 6), (2, 6), (3, 6), (4, 4)):
-        for tree in trees_of_Kr(r):
-            for D in range(1, D_max + 1):
-                assert solve_F(tree, D) == _reference_F(tree, D), (tree, D)
+def test_solvers_match_whole_series_iteration(monkeypatch):
+    f_cases = range(1, 13)
+    F_cases = [(tree, D) for r, D_max in ((1, 6), (2, 6), (3, 6), (4, 4))
+               for tree in trees_of_Kr(r) for D in range(1, D_max + 1)]
+    solved = [solve_f(D) for D in f_cases] + [solve_F(tree, D) for tree, D in F_cases]
+    # the references multiply through the pair loop, so the sides share no convolution
+    monkeypatch.setattr(series, "_degree_product", _dict_degree_product)
+    _reference_F.cache_clear()
+    references = [_reference_f(D) for D in f_cases] + [_reference_F(*c) for c in F_cases]
+    for case, got, want in zip([*f_cases, *F_cases], solved, references):
+        assert got == want, case
 
 
 def test_solve_F_no_constant_term():
