@@ -320,9 +320,19 @@ class RankedPoset:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "RankedPoset":
-        by_id = {e["id"]: e for e in doc["elements"]}
-        ranked = {e["label"]: e["rank"] for e in doc["elements"]}
-        covers = [(by_id[i]["label"], by_id[j]["label"]) for i, j in doc["covers"]]
+        label_of, ranked = {}, {}
+        for e in doc["elements"]:
+            if e["id"] in label_of:
+                raise PosetError(f"element id {e['id']} appears twice")
+            if e["label"] in ranked:
+                raise PosetError(f"element label {e['label']!r} appears twice")
+            label_of[e["id"]] = e["label"]
+            ranked[e["label"]] = e["rank"]
+        covers = []
+        for i, j in doc["covers"]:
+            if i not in label_of or j not in label_of:
+                raise PosetError(f"cover [{i}, {j}] names an id with no element")
+            covers.append((label_of[i], label_of[j]))
         return cls(ranked, covers)
 
     def to_dot(self, name: str = "hasse") -> str:

@@ -12,6 +12,12 @@ from functools import cache
 
 from .poset import RankedPoset
 
+DEFAULT_MAX_ELEMENTS = 100_000
+
+
+class SearchSpaceError(ValueError):
+    """The configured element bound would be exceeded."""
+
 
 @dataclass(frozen=True)
 class Tree:
@@ -226,10 +232,15 @@ def enumerate_Kr(r: int) -> RankedPoset:
     Ranks are the dimensions; the unique maximum is the corolla.  Element
     labels are the canonical tree texts.  RankedPoset.from_item_masks reads
     the covers off the bracket masks and checks that their closure is the
-    whole order, as enumerate_Wn does for W_n.
+    whole order, as enumerate_Wn does for W_n.  The faces are counted by
+    count_K first, and above DEFAULT_MAX_ELEMENTS none is built.
     """
     if r < 1:
         raise ValueError("need r >= 1")
+    expected = sum(count_K(m, r) for m in range(max(r - 1, 1)))
+    if expected > DEFAULT_MAX_ELEMENTS:
+        raise SearchSpaceError(f"K_{r} has {expected} faces, "
+                               f"above the bound {DEFAULT_MAX_ELEMENTS}")
     ranked = {}
     masks = {}
     for b in all_bracketings(r):

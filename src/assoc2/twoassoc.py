@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from functools import cache
 
 from .poset import PosetError, RankedPoset, _bits
-from .trees import (Bracketing, Tree, all_bracketings, bracketing_to_tree, count_K,
-                    dim_tree, root_decompose, tree_to_text)
+from .trees import (DEFAULT_MAX_ELEMENTS, Bracketing, SearchSpaceError, Tree, all_bracketings,
+                    bracketing_to_tree, count_K, dim_tree, root_decompose, tree_to_text)
 
 
 def check_nvector(n) -> tuple[int, ...]:
@@ -51,8 +51,8 @@ class TwoBracket:
     extents: tuple[tuple, ...]
 
     def __hash__(self):
-        # the value the generated dataclass hash returns, computed once: the
-        # generator and intern hash the same shared screens over and over
+        # the value the generated dataclass hash returns, computed once: intern
+        # and each fiber's duplicate check hash the same shared screens over and over
         return self._hash
 
     def __reduce__(self):
@@ -111,10 +111,15 @@ def point_singleton(line: int, j: int) -> TwoBracket:
     return TwoBracket(line, line, (("p", j, j),))
 
 
-def max_two_bracket(n: tuple[int, ...]) -> TwoBracket:
-    """All points on all lines; pointless lines are crossed at their only gap."""
-    exts = tuple(("p", 1, v) if v > 0 else ("g", 0) for v in n)
-    return TwoBracket(1, len(n), exts)
+def max_two_bracket(n: tuple[int, ...], line_off: int = 0,
+                    offs: tuple[int, ...] | None = None) -> TwoBracket:
+    """All points on all lines; pointless lines are crossed at their only gap.
+
+    Placed from line `line_off` + 1 and `offs` points above each line's origin.
+    """
+    offs = offs or (0,) * len(n)
+    exts = tuple(("p", o + 1, o + v) if v > 0 else ("g", o) for v, o in zip(n, offs))
+    return TwoBracket(line_off + 1, line_off + len(n), exts)
 
 
 def forced_two_brackets(n: tuple[int, ...]) -> frozenset[TwoBracket]:
@@ -556,10 +561,6 @@ def restrict_to_bracket(tb: TwoBracketing, b: tuple[int, int]) -> TwoBracketing:
 
 # --- enumeration ---
 
-class SearchSpaceError(ValueError):
-    """The configured element bound would be exceeded."""
-
-
 class VerificationError(Exception):
     """A constructed face or poset broke an invariant the engine checks.
 
@@ -568,36 +569,13 @@ class VerificationError(Exception):
     """
 
 
-def _shift(tbs: frozenset[TwoBracket], line_off: int,
-           point_offs: tuple[int, ...]) -> tuple[TwoBracket, ...]:
-    out = []
-    for x in tbs:
-        exts = []
-        for line in x.lines():
-            off = point_offs[line - 1]
-            e = x.extent(line)
-            if e[0] == "p":
-                exts.append(("p", e[1] + off, e[2] + off))
-            else:
-                exts.append(("g", e[1] + off))
-        out.append(TwoBracket(x.lo + line_off, x.hi + line_off, tuple(exts)))
-    return tuple(out)
-
-
-@cache
-def _shifted_fiber(tree: Tree, q: tuple[int, ...], line_off: int,
-                   offs: tuple[int, ...]) -> tuple[tuple[tuple[TwoBracket, ...], int], ...]:
-    """The faces of fib(tree, q) shifted into place, with their dimensions."""
-    return tuple((_shift(fs, line_off, offs), d) for fs, d in _gen_fiber(tree, q))
-
-
 def _screen_stacks(tree: Tree, n: tuple[int, ...], line_off: int,
                    offs: tuple[int, ...]):
     """Ordered stacks of fib(tree, q) faces filling n, bottom screen first.
 
-    Yields (shifted 2-brackets, screen dimensions); the stack starts at
-    line `line_off` + 1 and at points `offs` above each line's origin.  n = 0
-    yields only the empty stack.  Each screen is shifted once per placement
+    Yields (2-brackets, screen dimensions); the stack starts at line
+    `line_off` + 1 and at points `offs` above each line's origin.  n = 0
+    yields only the empty stack.  Each screen is generated once per place
     and reused in every stack that puts it there.
     """
     if not any(n):
@@ -606,50 +584,51 @@ def _screen_stacks(tree: Tree, n: tuple[int, ...], line_off: int,
     for q in itertools.product(*[range(v + 1) for v in n]):
         if not any(q):
             continue
-        screens = _shifted_fiber(tree, q, line_off, offs)
+        screens = _gen_fiber(tree, q, line_off, offs)
         rest = tuple(a - b for a, b in zip(n, q))
         above = tuple(o + v for o, v in zip(offs, q))
         for tbs, dims in _screen_stacks(tree, rest, line_off, above):
-            for shifted, d in screens:
-                yield shifted + tbs, (d,) + dims
+            for fs, d in screens:
+                yield fs + tbs, (d,) + dims
 
 
 @cache
-def _gen_fiber(tree: Tree, n: tuple[int, ...]):
-    """All faces of W_n over `tree`, in local coordinates.
+def _gen_fiber(tree: Tree, n: tuple[int, ...], line_off: int, offs: tuple[int, ...]):
+    """All faces of W_n over `tree`, placed from line `line_off` + 1 and `offs`.
 
-    Returns a tuple of (two_bracket_frozenset, dimension) pairs.  Every face
-    includes its own maximal 2-bracket, whose shift is exactly the screen
-    enclosing it inside a larger face.  Over a leaf the faces are K_n.  A
-    vertical face is a first screen fib(tree, q), 0 < q < n, under a
-    nonempty stack filling n - q; a horizontal face is one stack (maybe
-    empty) per branch.  Stacks come from _screen_stacks, dimensions from
-    dim_2concat.
+    Returns a tuple of (2-bracket tuple, dimension) pairs, generated where
+    they sit: `offs` counts the points below the fiber on each of its lines.
+    Every face includes its own maximal 2-bracket, which is exactly the
+    screen enclosing it inside a larger face.  Over a leaf the faces are
+    K_n and share one 2-bracket per run of points.  A vertical face is a
+    first screen fib(tree, q), 0 < q < n, under a nonempty stack filling
+    n - q; a horizontal face is one stack (maybe empty) per branch.  Stacks
+    come from _screen_stacks, dimensions from dim_2concat.
     """
     r = tree.leaf_count()
-    if len(n) != r or not any(n):
-        raise ValueError(f"fiber over {tree_to_text(tree)} needs a nonzero n "
-                         f"of length {r}, got {n}")
+    if len(n) != r or len(offs) != r or not any(n):
+        raise ValueError(f"fiber over {tree_to_text(tree)} needs a nonzero n and offsets "
+                         f"of length {r}, got {n} and {offs}")
     out = []
     if r == 1:
-        q = n[0]
-        for kb in all_bracketings(q):
-            two = {point_singleton(1, j) for j in range(1, q + 1)}
-            two.add(TwoBracket(1, 1, (("p", 1, q),)))
-            for a, b in kb.brackets:
-                two.add(TwoBracket(1, 1, (("p", a, b),)))
-            out.append((frozenset(two), kb.dim))
+        q, line, o = n[0], line_off + 1, offs[0]
+        run = {(a, b): TwoBracket(line, line, (("p", a + o, b + o),))
+               for a in range(1, q + 1) for b in range(a, q + 1)}
+        points = tuple(run[j, j] for j in range(1, q + 1))
+        for kb in all_bracketings(q):  # (1, q) is in every kb for q > 1
+            out.append((points + tuple(run[b] for b in kb.brackets), kb.dim))
     else:
-        mx, p = max_two_bracket(n), dim_tree(tree)
+        mx, p = max_two_bracket(n, line_off, offs), dim_tree(tree)
         # vertical: a first screen under a nonempty stack of the rest
         for q in itertools.product(*[range(v + 1) for v in n]):
             if not any(q) or q == n:
                 continue
             rest = tuple(a - b for a, b in zip(n, q))
-            above = list(_screen_stacks(tree, rest, 0, q))
-            for fs, d in _gen_fiber(tree, q):
+            above = list(_screen_stacks(tree, rest, line_off,
+                                        tuple(o + v for o, v in zip(offs, q))))
+            for fs, d in _gen_fiber(tree, q, line_off, offs):
                 for tbs, dims in above:
-                    out.append((frozenset((mx, *fs, *tbs)),
+                    out.append(((mx, *fs, *tbs),
                                 dim_2concat([p], [1 + len(dims)], [[d, *dims]])))
 
         # horizontal: one stack per branch of the bracket tree
@@ -657,23 +636,26 @@ def _gen_fiber(tree: Tree, n: tuple[int, ...]):
         stacks, pos = [], 0
         for child in branches:
             w = child.leaf_count()
-            stacks.append(list(_screen_stacks(child, n[pos:pos + w], pos, (0,) * w)))
+            stacks.append(list(_screen_stacks(child, n[pos:pos + w], line_off + pos,
+                                              offs[pos:pos + w])))
             pos += w
         p_i = [dim_tree(b) for b in branches]
         for combo in itertools.product(*stacks):
-            tbs = [x for shifted, _ds in combo for x in shifted]
-            dims = [list(ds) for _shifted, ds in combo]
-            out.append((frozenset((mx, *tbs)), dim_2concat(p_i, [len(ds) for ds in dims], dims)))
+            tbs = [x for fs, _ds in combo for x in fs]
+            dims = [list(ds) for _fs, ds in combo]
+            out.append(((mx, *tbs), dim_2concat(p_i, [len(ds) for ds in dims], dims)))
 
-    where = f"fiber over ({tree_to_text(tree)}, {n})"
-    if len({fs for fs, _ in out}) != len(out):
+    where = f"fiber over ({tree_to_text(tree)}, {n}) at ({line_off}, {offs})"
+    faces = [frozenset(fs) for fs, _ in out]
+    if any(len(face) != len(fs) for face, (fs, _) in zip(faces, out)):
+        raise VerificationError(f"a face lists one 2-bracket twice in {where}")
+    if len(set(faces)) != len(out):
         raise VerificationError(f"duplicate faces in {where}")
     if any(d < 0 for _, d in out):
         raise VerificationError(f"negative dimension in {where}")
     return tuple(out)
 
 
-DEFAULT_MAX_ELEMENTS = 100_000
 _ENUM_CACHE: dict[tuple[int, ...], RankedPoset] = {}
 
 
@@ -719,7 +701,7 @@ def enumerate_Wn(n, max_elements: int = DEFAULT_MAX_ELEMENTS) -> RankedPoset:
         tree = bracketing_to_tree(kb)
         pi = _tree_text(kb)
         bracket_mask = kb.mask()  # below bit r * r
-        for fs, d in _gen_fiber(tree, n):
+        for fs, d in _gen_fiber(tree, n, 0, (0,) * r):
             face = 0
             for x in fs:
                 face |= 1 << intern(x)
@@ -759,8 +741,8 @@ def face_two_bracketings(n):
     n = check_nvector(n)
     enumerate_Wn(n)
     for kb in all_bracketings(len(n)):
-        for fs, _d in _gen_fiber(bracketing_to_tree(kb), n):
-            tb = TwoBracketing(n, kb.brackets, fs)
+        for fs, _d in _gen_fiber(bracketing_to_tree(kb), n, 0, (0,) * len(n)):
+            tb = TwoBracketing(n, kb.brackets, frozenset(fs))
             yield tb.label(), tb
 
 

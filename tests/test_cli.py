@@ -27,6 +27,14 @@ def test_assoc_enumerate_rejects_bad_r():
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [["assoc", "enumerate", "--r", "11"], ["cd-index", "--r", "11"]])
+def test_K_r_above_the_bound_is_one_line_exit_2(argv, capsys):
+    code, out = run(argv)
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err == "error: K_11 has 518859 faces, above the bound 100000\n"
+
+
 def test_counts_all_zero_n_is_usage_error():
     code, _ = run(["counts", "--n", "0,0"])
     assert code == 2

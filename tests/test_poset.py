@@ -591,6 +591,24 @@ def test_json_round_trip():
     assert P.to_json() == Q.to_json()
 
 
+def _doc(elements, covers):
+    """A poset document from (label, id, rank) triples and cover id pairs."""
+    return {"elements": [{"label": lab, "id": i, "rank": rank} for lab, i, rank in elements],
+            "covers": covers}
+
+
+@pytest.mark.parametrize("doc,why", [
+    # this one used to load silently as a 2-element poset
+    (_doc([("a", 0, 0), ("a", 1, 1), ("b", 1, 1)], [[0, 1]]), "label 'a' appears twice"),
+    (_doc([("a", 0, 0), ("b", 1, 1), ("c", 1, 1)], [[0, 1]]), "id 1 appears twice"),
+    # this one used to raise KeyError
+    (_doc([("a", 0, 0), ("b", 1, 1)], [[0, 2]]), r"cover \[0, 2\] names an id with no element"),
+], ids=["repeated label", "repeated id", "unknown cover id"])
+def test_json_load_rejects_a_malformed_document(doc, why):
+    with pytest.raises(PosetError, match=why):
+        RankedPoset.from_json_dict(doc)
+
+
 def test_dot_export_stable_and_layered():
     P = enumerate_Kr(3)
     dot = P.to_dot()

@@ -40,7 +40,7 @@ def test_enumeration_and_count_oracles_share_no_code():
     # enumerate_Wn is left out on purpose: it cross-checks its faces against count_W
     package = Path(assoc2.__file__).parent
     used = _names_used(package / "twoassoc.py")
-    enumeration = {"_gen_fiber", "_screen_stacks", "_shifted_fiber", "_shift"}
+    enumeration = {"_gen_fiber", "_screen_stacks"}
     recurrence = {"_stacks", "_fiber_poly", "_splits", "_convolve", "count_W"}
     assert enumeration | recurrence | {"dim_2concat"} <= set(used)
     for name in enumeration:
@@ -60,17 +60,33 @@ def test_validation_shares_no_code_with_the_generator_or_the_recurrence():
     used = _names_used(Path(assoc2.__file__).parent / "twoassoc.py")
     checked = {"validate_two_bracketing", "_valid_face", "_TwoBracketTable", "_table",
                "_stack_ordered", "_stack_ok", "_face_label", "_tree_text"}
-    generator = {"_gen_fiber", "_screen_stacks", "_shift", "dim_2concat", "_stacks",
+    generator = {"_gen_fiber", "_screen_stacks", "dim_2concat", "_stacks",
                  "_fiber_poly", "count_W"}
     assert checked | generator <= set(used)
     for name in checked:
-        reached, todo = set(), [name]
-        while todo:  # follow the module's own functions and classes it mentions
-            for other in used[todo.pop()] & set(used):
-                if other not in reached:
-                    reached.add(other)
-                    todo.append(other)
-        assert reached & generator == set(), name
+        assert _reached(used, name) & generator == set(), name
+
+
+def test_the_generator_shares_no_code_with_validation_or_the_recurrence():
+    # the converse: the faces are generated without reading what re-validates them
+    used = _names_used(Path(assoc2.__file__).parent / "twoassoc.py")
+    checker = {"_table", "_TwoBracketTable", "_valid_face", "validate_two_bracketing",
+               "_face_label", "_stacks", "_fiber_poly", "_splits", "_convolve", "count_W"}
+    assert checker <= set(used)
+    for name in ("_gen_fiber", "_screen_stacks"):
+        reached = _reached(used, name)
+        assert "_gen_fiber" in reached and reached & checker == set(), name
+
+
+def _reached(used: dict[str, set[str]], name: str) -> set[str]:
+    """The module's own functions and classes that `name` mentions, followed transitively."""
+    reached, todo = set(), [name]
+    while todo:
+        for other in used[todo.pop()] & set(used):
+            if other not in reached:
+                reached.add(other)
+                todo.append(other)
+    return reached
 
 
 def test_only_the_table_constructor_writes_table_rows():

@@ -1,10 +1,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from assoc2.trees import (Bracketing, Tree, all_bracketings, bracketing_to_tree,
-                          concat, corolla, count_K, dim_tree, enumerate_Kr,
-                          parse_tree, root_decompose, tree_to_bracketing,
-                          tree_to_text)
+from assoc2 import trees, twoassoc
+from assoc2.trees import (DEFAULT_MAX_ELEMENTS, Bracketing, SearchSpaceError, Tree,
+                          all_bracketings, bracketing_to_tree, concat, corolla, count_K,
+                          dim_tree, enumerate_Kr, parse_tree, root_decompose,
+                          tree_to_bracketing, tree_to_text)
 from assoc2.series import coefficient, solve_f
 
 LEAF = Tree()
@@ -30,6 +31,18 @@ def test_enumerate_Kr_rejects_bad_r():
         enumerate_Kr(0)
     with pytest.raises(ValueError):
         enumerate_Kr(-3)
+
+
+def test_enumerate_Kr_refuses_above_the_bound_without_enumerating(monkeypatch):
+    # K_10 is the poset of W_(10), which enumerate_Wn refuses at the same bound
+    def no_enumeration(r):
+        raise AssertionError("enumerated a refused K_r")
+    monkeypatch.setattr(trees, "all_bracketings", no_enumeration)
+    assert sum(count_K(m, 9) for m in range(8)) <= DEFAULT_MAX_ELEMENTS
+    with pytest.raises(SearchSpaceError, match="K_10 has 103049 faces"):
+        enumerate_Kr(10)
+    assert twoassoc.SearchSpaceError is SearchSpaceError
+    assert twoassoc.DEFAULT_MAX_ELEMENTS == DEFAULT_MAX_ELEMENTS == 100_000
 
 
 def test_Kr_unique_max_is_corolla():

@@ -17,7 +17,7 @@ from assoc2 import twoassoc
 from assoc2.poset import PosetError, RankedPoset
 from assoc2.twoassoc import (SearchSpaceError, TwoBracket, TwoBracketing, VerificationError,
                              _TwoBracketTable, _bracket_children, _fiber_poly, _gen_fiber,
-                             _shift, _stack_ordered, _stacks, _table, _tb_oriented, _valid_face,
+                             _stack_ordered, _stacks, _table, _tb_oriented, _valid_face,
                              check_nvector, count_W, dim_2concat, enumerate_Wn,
                              face_two_bracketings, forced_two_brackets, forgetful_map,
                              max_two_bracket, point_singleton, removables, restrict_to_bracket,
@@ -215,7 +215,9 @@ def test_count_W_corolla2_values():
 
 def test_gen_fiber_rejects_mismatched_n():
     with pytest.raises(ValueError):
-        _gen_fiber(corolla(2), (1,))
+        _gen_fiber(corolla(2), (1,), 0, (0,))
+    with pytest.raises(ValueError):
+        _gen_fiber(corolla(2), (1, 1), 0, (0,))
 
 
 def _vector_compositions(n, parts):
@@ -242,6 +244,22 @@ def _vector_compositions(n, parts):
                 yield (first,) + tail
 
     yield from rec(n, parts)
+
+
+def _shift(tbs, line_off, point_offs):
+    """The 2-brackets `tbs` moved up `line_off` lines and `point_offs` points per line."""
+    out = []
+    for x in tbs:
+        exts = []
+        for line in x.lines():
+            off = point_offs[line - 1]
+            e = x.extent(line)
+            if e[0] == "p":
+                exts.append(("p", e[1] + off, e[2] + off))
+            else:
+                exts.append(("g", e[1] + off))
+        out.append(TwoBracket(x.lo + line_off, x.hi + line_off, tuple(exts)))
+    return tuple(out)
 
 
 @cache
@@ -311,8 +329,44 @@ def _sorted_faces(faces):
 def test_screen_stacks_match_the_composition_generator():
     for n in desk_nvectors() + [(3, 0, 2)]:
         for tree in trees_of_Kr(len(n)):
-            assert _sorted_faces(_gen_fiber(tree, n)) == \
+            assert _sorted_faces(_gen_fiber(tree, n, 0, (0,) * len(n))) == \
                 _sorted_faces(_composition_fiber(tree, n)), (tree_to_text(tree), n)
+
+
+def test_placed_fibers_are_the_origin_fibers_shifted(monkeypatch):
+    # every place the enumeration reaches, against the fiber at the origin moved there
+    places = set()
+    gen_fiber = twoassoc._gen_fiber
+
+    def recorded(*key):
+        places.add(key)
+        return gen_fiber(*key)
+
+    gen_fiber.cache_clear()
+    monkeypatch.setattr(twoassoc, "_gen_fiber", recorded)
+    for n in desk_nvectors() + [(3, 0, 2)]:
+        for tree in trees_of_Kr(len(n)):
+            twoassoc._gen_fiber(tree, n, 0, (0,) * len(n))
+    monkeypatch.undo()
+    assert gen_fiber.cache_info().currsize == len(places)
+    # the fibers at the origin are pinned by the composition generator
+    moved = [key for key in places if key[2] or any(key[3])]
+    assert len(moved) > len(places) // 2
+    for tree, q, line_off, offs in moved:
+        origin = gen_fiber(tree, q, 0, (0,) * len(q))
+        shifted = [(_shift(fs, line_off, offs), d) for fs, d in origin]
+        assert _sorted_faces(gen_fiber(tree, q, line_off, offs)) == _sorted_faces(shifted), \
+            (tree_to_text(tree), q, line_off, offs)
+
+
+def test_a_face_listing_one_2_bracket_twice_is_a_verification_error(monkeypatch):
+    # the maximal 2-bracket of (1, 0) made equal to its only point singleton
+    monkeypatch.setattr(twoassoc, "max_two_bracket",
+                        lambda n, line_off, offs: point_singleton(line_off + 1, offs[0] + 1))
+    with pytest.raises(VerificationError, match="lists one 2-bracket twice"):
+        _gen_fiber(corolla(2), (1, 0), 3, (2, 0))
+    monkeypatch.undo()
+    assert [len(fs) for fs, _d in _gen_fiber(corolla(2), (1, 0), 3, (2, 0))] == [2]
 
 
 def _cmp_stack_ordered(group):
@@ -596,7 +650,8 @@ def test_enumeration_interns_each_reference_once_and_builds_no_face_object(monke
         calls["TwoBracketing"] += 1
         init(self, *args)
 
-    references = sum(len(fs) for tree in trees_of_Kr(len(n)) for fs, _d in _gen_fiber(tree, n))
+    references = sum(len(fs) for tree in trees_of_Kr(len(n))
+                     for fs, _d in _gen_fiber(tree, n, 0, (0,) * len(n)))
     monkeypatch.setattr(twoassoc, "_ENUM_CACHE", {})
     monkeypatch.setattr(_TwoBracketTable, "intern", counted_intern)
     monkeypatch.setattr(TwoBracketing, "__init__", counted_init)
@@ -697,7 +752,7 @@ def _reflect_lines(tb):
     return TwoBracketing(tb.n[::-1], brackets, two)
 
 
-_MIRROR_NS = [(2, 1), (1, 2), (3, 1), (2, 1, 1), (1, 0, 2), (0, 2, 1), (3, 2)]
+_MIRROR_NS = [(2, 1), (1, 2), (3, 1), (2, 1, 1), (1, 0, 2), (0, 2, 1), (3, 2), (3, 0, 2)]
 
 
 @pytest.mark.parametrize("n", _MIRROR_NS)
