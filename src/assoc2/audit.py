@@ -140,13 +140,10 @@ def audit_fiber_products(r_max: int = 2, k_max: int = 3, weight_max: int = 3) ->
                 if any(n) and sum(n) <= weight_max]
         for k in range(1, k_max + 1):
             for ms in itertools.combinations_with_replacement(vecs, k):
-                posets, maps = [], []
-                for idx, m in enumerate(ms):
-                    W = enumerate_Wn(m)
-                    rename = {lab: f"{idx}:{lab}" for lab in W.labels}
-                    posets.append(W.relabel(rename))
-                    maps.append({rename[lab]: t for lab, t in W.meta["pi"].items()})
-                FP = ps.fiber_product(posets, K, maps)
+                # W_n labels hold commas only inside 2-bracket texts, so the
+                # tuple labels of a repeated factor cannot collide
+                posets = [enumerate_Wn(m) for m in ms]
+                FP = ps.fiber_product(posets, K, [W.meta["pi"] for W in posets])
                 total = sum((-1) ** FP.rank_of(x) for x in FP.labels)
                 rep.add("fiber_product.alternating_sum",
                         {"r": r, "m_list": [list(m) for m in ms]}, 1, total)
@@ -154,30 +151,20 @@ def audit_fiber_products(r_max: int = 2, k_max: int = 3, weight_max: int = 3) ->
 
 
 def _all_middle_posets(size: int):
-    """Every partial order on `size` labeled elements, as a strict-less matrix."""
+    """Every partial order on `size` labeled elements, as strict down-set masks.
+
+    below[i] has bit j when m_j < m_i.  Relations run through every subset of
+    the ordered pairs; a relation is kept when it is transitive, which here
+    implies antisymmetric because no element is below itself.
+    """
     pairs = [(i, j) for i in range(size) for j in range(size) if i != j]
     for mask in range(1 << len(pairs)):
-        less = [[False] * size for _ in range(size)]
+        below = [0] * size
         for b, (i, j) in enumerate(pairs):
             if (mask >> b) & 1:
-                less[i][j] = True
-        ok = True
-        for i in range(size):
-            for j in range(size):
-                if less[i][j]:
-                    if less[j][i]:
-                        ok = False
-                        break
-                    for kk in range(size):
-                        if less[j][kk] and not less[i][kk]:
-                            ok = False
-                            break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            yield less
+                below[j] |= 1 << i
+        if all(below[j] & ~below[i] == 0 for i in range(size) for j in ps._bits(below[i])):
+            yield below
 
 
 def bounded_graded_family(max_elements: int = 6, min_rank: int = -1) -> list[ps.RankedPoset]:
@@ -185,32 +172,25 @@ def bounded_graded_family(max_elements: int = 6, min_rank: int = -1) -> list[ps.
 
     Every labeled partial order on the middle elements gets a fresh bottom
     and top; ranks are longest-chain heights shifted to put the bottom at
-    min_rank, and candidates that RankedPoset.from_order rejects (the
+    min_rank, and candidates that RankedPoset.from_down_sets rejects (the
     non-graded ones, where a cover does not raise rank by one) are dropped.
     """
+    if max_elements > 12:
+        # the down-sets follow the label order bot < m0 < ... < m9 < top
+        raise ValueError(f"max_elements {max_elements} is above 12: more than ten middles")
     out = []
     for size in range(0, max_elements - 1):
-        for less in _all_middle_posets(size):
-            labels = [f"m{i}" for i in range(size)]
-
-            def leq(x: str, y: str) -> bool:
-                if x == y or x == "bot" or y == "top":
-                    return True
-                if x == "top" or y == "bot":
-                    return False
-                return bool(less[int(x[1:])][int(y[1:])])
-
-            height = {"bot": 0}
-            order = sorted(range(size), key=lambda i: sum(less[j][i] for j in range(size)))
-            for i in order:
-                below = [height[labels[j]] for j in range(size) if less[j][i]]
-                height[labels[i]] = 1 + max(below, default=0)
-            height["top"] = 1 + max((height[labels[i]] for i in range(size)
-                                     if not any(less[i][j] for j in range(size))),
-                                    default=0)
-            ranked = {lab: h + min_rank for lab, h in height.items()}
+        labels = ["bot"] + [f"m{i}" for i in range(size)] + ["top"]
+        everything = (1 << (size + 2)) - 1
+        for below in _all_middle_posets(size):
+            height = [0] * size
+            for i in sorted(range(size), key=lambda i: below[i].bit_count()):
+                height[i] = 1 + max((height[j] for j in ps._bits(below[i])), default=0)
+            heights = [0] + height + [1 + max(height, default=0)]
+            down = [1] + [1 | (below[i] | 1 << i) << 1 for i in range(size)] + [everything]
+            ranked = {lab: h + min_rank for lab, h in zip(labels, heights)}
             try:
-                out.append(ps.RankedPoset.from_order(ranked, leq))
+                out.append(ps.RankedPoset.from_down_sets(ranked, down))
             except ps.PosetError:
                 continue  # not graded
     return out

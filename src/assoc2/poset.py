@@ -35,7 +35,12 @@ class RankedPoset:
     def __init__(self, ranked_labels: Mapping[str, int], covers: Iterable[tuple[str, str]],
                  meta: Mapping[str, object] | None = None):
         self._elements(ranked_labels, meta)
-        self._close({(self._index[lo], self._index[hi]) for lo, hi in covers})
+        index = self._index
+        try:
+            pairs = {(index[lo], index[hi]) for lo, hi in covers}
+        except KeyError as exc:
+            raise PosetError(f"cover names {exc.args[0]!r}, which is no element") from None
+        self._close(pairs)
 
     def _elements(self, ranked_labels: Mapping[str, int],
                   meta: Mapping[str, object] | None) -> None:
@@ -59,7 +64,8 @@ class RankedPoset:
         self._odd = sum(m for r, m in self._rank_masks if r % 2)
 
     def _close(self, cover_pairs: Iterable[tuple[int, int]]) -> None:
-        """Store the covers, index pairs that must raise rank by one, and their closure."""
+        """Store the covers, index pairs that must raise rank by one, their closure
+        and the masks of the minimal and the maximal elements."""
         self.cover_pairs: tuple[tuple[int, int], ...] = tuple(sorted(cover_pairs))
 
         n, labels, ranks = len(self.labels), self.labels, self.ranks
@@ -71,8 +77,8 @@ class RankedPoset:
                                  f"(got {ranks[i]} -> {ranks[j]})")
             up_adj[i].append(j)
             down_adj[j].append(i)
-        self._up_adj = up_adj
-        self._down_adj = down_adj
+        self._minimal = sum(1 << i for i in range(n) if not down_adj[i])
+        self._maximal = sum(1 << i for i in range(n) if not up_adj[i])
 
         # Reflexive-transitive closure as bitmasks, filled in rank order.
         order = sorted(range(n), key=ranks.__getitem__)
@@ -189,10 +195,10 @@ class RankedPoset:
         return self._up[i] & self._down[j]
 
     def minimal_elements(self) -> list[str]:
-        return [self.labels[i] for i in range(len(self.labels)) if not self._down_adj[i]]
+        return [self.labels[i] for i in _bits(self._minimal)]
 
     def maximal_elements(self) -> list[str]:
-        return [self.labels[i] for i in range(len(self.labels)) if not self._up_adj[i]]
+        return [self.labels[i] for i in _bits(self._maximal)]
 
     # --- alternating sums and Eulerian verification ---
 
@@ -233,12 +239,11 @@ class RankedPoset:
     def diamond_failures(self) -> list[tuple[str, str, int]]:
         """Rank-2 intervals whose open part has != 2 elements."""
         bad = []
-        n = len(self.labels)
-        for i in range(n):
-            for j in _bits(self._up[i]):
-                if self.ranks[j] != self.ranks[i] + 2:
-                    continue
-                middles = (self._up[i] & self._down[j]).bit_count() - 2
+        layer = dict(self._rank_masks)
+        for i, r in enumerate(self.ranks):
+            up = self._up[i]
+            for j in _bits(up & layer.get(r + 2, 0)):
+                middles = (up & self._down[j]).bit_count() - 2
                 if middles != 2:
                     bad.append((self.labels[i], self.labels[j], middles))
         return bad
@@ -289,10 +294,17 @@ class RankedPoset:
         return RankedPoset(ranked, covers, self.meta)
 
     def relabel(self, mapping: Mapping[str, str]) -> "RankedPoset":
+        """The same order under new labels; mapping must send the labels one to one."""
+        try:
+            new = [mapping[lab] for lab in self.labels]
+        except KeyError as exc:
+            raise PosetError(f"relabel mapping misses {exc.args[0]!r}") from None
+        ranked = dict(zip(new, self.ranks))
+        if len(ranked) != len(new):
+            twice = next(lab for lab in new if new.count(lab) > 1)
+            raise PosetError(f"relabel mapping sends two labels to {twice!r}")
         # meta is keyed by labels and would go stale; the relabeled poset drops it
-        ranked = {mapping[lab]: self.ranks[self._index[lab]] for lab in self.labels}
-        covers = [(mapping[self.labels[i]], mapping[self.labels[j]]) for i, j in self.cover_pairs]
-        return RankedPoset(ranked, covers)
+        return RankedPoset(ranked, [(new[i], new[j]) for i, j in self.cover_pairs])
 
     def unique_min(self) -> str:
         mins = self.minimal_elements()
@@ -320,17 +332,27 @@ class RankedPoset:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "RankedPoset":
+        try:
+            elements = [(e["id"], e["label"], e["rank"]) for e in doc["elements"]]
+            cover_ids = [(i, j) for i, j in doc["covers"]]
+        except KeyError as exc:
+            raise PosetError(f"poset document has no {exc.args[0]!r} entry") from None
+        except (TypeError, ValueError) as exc:
+            raise PosetError(f"malformed poset document: {exc}") from None
         label_of, ranked = {}, {}
-        for e in doc["elements"]:
-            if e["id"] in label_of:
-                raise PosetError(f"element id {e['id']} appears twice")
-            if e["label"] in ranked:
-                raise PosetError(f"element label {e['label']!r} appears twice")
-            label_of[e["id"]] = e["label"]
-            ranked[e["label"]] = e["rank"]
+        for i, lab, rank in elements:
+            if not (type(i) is type(rank) is int and type(lab) is str):
+                raise PosetError(f"element {{id: {i!r}, label: {lab!r}, rank: {rank!r}}} needs "
+                                 "an integer id and rank and a string label")
+            if i in label_of:
+                raise PosetError(f"element id {i} appears twice")
+            if lab in ranked:
+                raise PosetError(f"element label {lab!r} appears twice")
+            label_of[i] = lab
+            ranked[lab] = rank
         covers = []
-        for i, j in doc["covers"]:
-            if i not in label_of or j not in label_of:
+        for i, j in cover_ids:
+            if not (type(i) is type(j) is int and i in label_of and j in label_of):
                 raise PosetError(f"cover [{i}, {j}] names an id with no element")
             covers.append((label_of[i], label_of[j]))
         return cls(ranked, covers)
@@ -390,37 +412,31 @@ def reduced_product(*posets: RankedPoset) -> RankedPoset:
 
 
 def _reduced_product2(P: RankedPoset, Q: RankedPoset) -> RankedPoset:
-    pmin, qmin = P.unique_min(), Q.unique_min()
+    pmin, qmin = P.index(P.unique_min()), Q.index(Q.unique_min())
     P.unique_max(), Q.unique_max()
     new_min = "(min,min)"
-    new_rank = P.rank_of(pmin) + Q.rank_of(qmin) + 1
+    new_rank = P.ranks[pmin] + Q.ranks[qmin] + 1
     ranked = {new_min: new_rank}
-    pairs = []
-    for a in P.labels:
+    qs = [b for b in range(len(Q)) if b != qmin]
+    labs: list[list[str]] = [[] for _ in P.labels]  # labs[a][k]: the label of (a, qs[k])
+    for a, pa in enumerate(P.labels):
         if a == pmin:
             continue
-        for b in Q.labels:
-            if b == qmin:
-                continue
-            lab = f"({a},{b})"
-            ranked[lab] = P.rank_of(a) + Q.rank_of(b)
-            pairs.append((a, b, lab))
-    if any(ranked[lab] <= new_rank for _, _, lab in pairs):
+        for b in qs:
+            lab = f"({pa},{Q.labels[b]})"
+            if lab in ranked:
+                raise PosetError(f"reduced product label {lab} names two elements")
+            ranked[lab] = P.ranks[a] + Q.ranks[b]
+            labs[a].append(lab)
+    if any(rk <= new_rank for lab, rk in ranked.items() if lab != new_min):
         raise PosetError("reduced product rank for the new minimum is not below the open part")
 
-    lab_of = {(a, b): lab for a, b, lab in pairs}
-
-    # direct cover construction is cheaper than probing the order on all pairs
-    covers = []
-    atoms = []
-    for a, b, lab in pairs:
-        for i2 in P._up_adj[P.index(a)]:
-            covers.append((lab, lab_of[(P.labels[i2], b)]))
-        for j2 in Q._up_adj[Q.index(b)]:
-            covers.append((lab, lab_of[(a, Q.labels[j2])]))
-        if ranked[lab] == new_rank + 1:
-            atoms.append(lab)
-    covers += [(new_min, lab) for lab in atoms]
+    # a cover raises one coordinate by a cover of its factor; the minima are left out
+    covers = [cover for a, a2 in P.cover_pairs if a != pmin for cover in zip(labs[a], labs[a2])]
+    pos = {b: k for k, b in enumerate(qs)}
+    covers += [(row[pos[b]], row[pos[b2]]) for b, b2 in Q.cover_pairs if b != qmin
+               for a, row in enumerate(labs) if a != pmin]
+    covers += [(new_min, lab) for lab, rk in ranked.items() if rk == new_rank + 1]
     return RankedPoset(ranked, covers)
 
 

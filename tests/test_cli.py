@@ -180,8 +180,16 @@ def test_verification_error_is_one_line_exit_1(breakage, monkeypatch, capsys):
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+def test_desk_audit_bytes_are_pinned():
+    # the release gate: every row passes, and the report is the one perfbench/workloads.py pins
+    code, out = run(["audit", "--profile", "desk", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["summary"] == {"total": 1310, "passed": 1310, "failed": 0}
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "c9374996e23ce2f9d111e219a130a09b7421cbc12b44989cbe964e392d92a702"
+
+
 def test_audit_json_shape():
-    # a full desk audit is exercised in the acceptance suite; here only the format
     code, out = run(["verify", "eulerian", "--n", "2", "--format", "json"])
     assert code == 0
     doc = json.loads(out)

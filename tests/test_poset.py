@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from assoc2.audit import _all_middle_posets, bounded_graded_family
+from assoc2.audit import _all_middle_posets, audit_fiber_products, bounded_graded_family
 from assoc2.poset import (CdPolynomial, FlagVector, NonEulerianError, PosetError,
                           RankedPoset, ab_index, cd_index, fiber_product,
                           _bits, flag_f_vector, flag_h_vector, reduced_product)
@@ -52,6 +52,30 @@ def test_from_down_sets_needs_one_down_set_per_element():
         RankedPoset.from_down_sets({"a": 0, "b": 1, "c": 2}, [0b001, 0b011])
 
 
+def test_constructor_rejects_a_cover_that_names_no_element():
+    # this used to raise a bare KeyError
+    with pytest.raises(PosetError, match="cover names 'b', which is no element"):
+        RankedPoset({"a": 0}, [("a", "b")])
+
+
+def test_relabel_keeps_the_order():
+    P = diamond().relabel({"bot": "0", "a": "x", "b": "y", "top": "1"})
+    assert P.labels == ("0", "1", "x", "y")
+    assert P.leq("0", "1") and not P.leq("x", "y") and P.mobius("0", "1") == 1
+
+
+@pytest.mark.parametrize("mapping, why", [
+    # this one used to give a 2-element poset
+    ({"a": "x", "b": "x", "t": "t"}, "sends two labels to 'x'"),
+    # this one used to raise a bare KeyError
+    ({"a": "x", "b": "y"}, "misses 't'"),
+], ids=["not injective", "misses a label"])
+def test_relabel_rejects_a_mapping_that_is_not_one_to_one(mapping, why):
+    P = RankedPoset({"a": 0, "b": 0, "t": 1}, [("a", "t"), ("b", "t")])
+    with pytest.raises(PosetError, match=why):
+        P.relabel(mapping)
+
+
 def _Kr_by_removing_one_bracket(r):
     """enumerate_Kr as it was: each cover removes one bracket other than (1, r)."""
     ranked, label_of = {}, {}
@@ -71,11 +95,46 @@ def test_Kr_item_mask_covers_match_removing_one_bracket(r):
     assert P.cover_pairs == Q.cover_pairs and P._up == Q._up
 
 
+def _all_middle_less_matrices(size):
+    """_all_middle_posets as it was: every partial order as a strict-less matrix."""
+    pairs = [(i, j) for i in range(size) for j in range(size) if i != j]
+    for mask in range(1 << len(pairs)):
+        less = [[False] * size for _ in range(size)]
+        for b, (i, j) in enumerate(pairs):
+            if (mask >> b) & 1:
+                less[i][j] = True
+        ok = True
+        for i in range(size):
+            for j in range(size):
+                if less[i][j]:
+                    if less[j][i]:
+                        ok = False
+                        break
+                    for kk in range(size):
+                        if less[j][kk] and not less[i][kk]:
+                            ok = False
+                            break
+                if not ok:
+                    break
+            if not ok:
+                break
+        if ok:
+            yield less
+
+
+@pytest.mark.parametrize("size", range(5))
+def test_middle_down_sets_match_the_less_matrices(size):
+    old = [[sum(1 << j for j in range(size) if less[j][i]) for i in range(size)]
+           for less in _all_middle_less_matrices(size)]
+    assert list(_all_middle_posets(size)) == old
+    assert len(old) == [1, 1, 3, 19, 219][size]  # labeled posets on `size` elements
+
+
 def _graded_family_by_direct_covers(max_elements, min_rank):
     """bounded_graded_family as it was: Hasse covers from a direct() test on `less`."""
     out = []
     for size in range(0, max_elements - 1):
-        for less in _all_middle_posets(size):
+        for less in _all_middle_less_matrices(size):
             labels = [f"m{i}" for i in range(size)]
 
             def direct(j, i):
@@ -113,6 +172,12 @@ def test_graded_family_matches_the_direct_cover_builder(min_rank):
     old = _graded_family_by_direct_covers(6, min_rank)
     assert len(new) == len(old) > 0
     assert [P.to_json() for P in new] == [P.to_json() for P in old]
+
+
+def test_graded_family_refuses_more_than_ten_middles():
+    # the down-set masks follow the label order bot < m0 < ... < m9 < top
+    with pytest.raises(ValueError, match="max_elements 13 is above 12"):
+        bounded_graded_family(13)
 
 
 def test_interning_is_sorted_by_label():
@@ -206,6 +271,26 @@ def _label_level_mobius_failures(P):
                   if m != (-1) ** (P.rank_of(y) - P.rank_of(x)))
 
 
+def _diamond_failures_over_the_up_set(P):
+    """diamond_failures as it was: the whole up-set of each element, filtered by rank."""
+    bad = []
+    for i in range(len(P)):
+        for j in _bits(P._up[i]):
+            if P.ranks[j] == P.ranks[i] + 2:
+                middles = (P._up[i] & P._down[j]).bit_count() - 2
+                if middles != 2:
+                    bad.append((P.labels[i], P.labels[j], middles))
+    return bad
+
+
+def test_diamond_sweep_reads_the_layer_two_ranks_up():
+    posets = bounded_graded_family(6) + [enumerate_Wn(n).complete_with_min(-1, "F^min")
+                                         for n in [(2, 1), (1, 1, 1)]]
+    assert any(P.diamond_failures() for P in posets)
+    for P in posets:
+        assert P.diamond_failures() == _diamond_failures_over_the_up_set(P)
+
+
 def test_mobius_failures_three_chain():
     assert chain(0, 1, 2).mobius_failures() == [("c0", "c2", 0)]
     assert diamond().mobius_failures() == []
@@ -242,6 +327,20 @@ def test_reduced_product_closed_form_point_case():
     R = reduced_product(pt, pt)
     assert len(R) == 1 and R.ranks == (1,)
     assert sum((-1) ** r for r in R.ranks) == -1
+
+
+@pytest.mark.parametrize("p_label, q_label, label", [
+    ("a,b", "b,c", "(a,b,c)"),  # ("a,b", "c") and ("a", "b,c")
+    ("min", "min", "(min,min)"),  # the pair of two "min" elements and the new minimum
+], ids=["two pairs", "the new minimum"])
+def test_reduced_product_rejects_two_elements_with_one_label(p_label, q_label, label):
+    # the first used to merge the two pairs into a 9-element poset
+    P = RankedPoset({"pb": 0, "a": 1, p_label: 1, "pt": 2},
+                    [("pb", "a"), ("pb", p_label), ("a", "pt"), (p_label, "pt")])
+    Q = RankedPoset({"qb": 0, "c": 1, q_label: 1, "qt": 2},
+                    [("qb", "c"), ("qb", q_label), ("c", "qt"), (q_label, "qt")])
+    with pytest.raises(PosetError, match=re.escape(f"label {label} names two elements")):
+        reduced_product(P, Q)
 
 
 def test_reduced_product_needs_bounds():
@@ -367,14 +466,21 @@ def _fiber_product_by_direct_covers(posets, base, maps):
     """fiber_product over a point as it was: a cover raises one coordinate by a cover."""
     ranked, tuples = _fiber_tuples(posets, base, maps)
     lab_of = {tup: lab for lab, tup in tuples.items()}
-    covers = [(lab, lab_of[tup[:i] + (P.labels[j],) + tup[i + 1:]])
-              for lab, tup in tuples.items() for i, (P, x) in enumerate(zip(posets, tup))
-              for j in P._up_adj[P.index(x)]]
+    ups = []  # per factor: label -> the labels covering it
+    for P in posets:
+        up = {}
+        for i, j in P.cover_pairs:
+            up.setdefault(P.labels[i], []).append(P.labels[j])
+        ups.append(up)
+    covers = [(lab, lab_of[tup[:i] + (y,) + tup[i + 1:]])
+              for lab, tup in tuples.items() for i, (up, x) in enumerate(zip(ups, tup))
+              for y in up.get(x, ())]
     return RankedPoset(ranked, covers)
 
 
 def _W_fiber_family(r, k, weight_max):
-    """audit_fiber_products' products over K_r with k factors of weight <= weight_max."""
+    """audit_fiber_products' products over K_r with k factors of weight <= weight_max,
+    as it built them: each factor relabeled with an "idx:" prefix; ms comes first."""
     K = enumerate_Kr(r)
     vecs = [n for n in itertools.product(range(weight_max + 1), repeat=r)
             if any(n) and sum(n) <= weight_max]
@@ -385,7 +491,7 @@ def _W_fiber_family(r, k, weight_max):
             rename = {lab: f"{idx}:{lab}" for lab in W.labels}
             posets.append(W.relabel(rename))
             maps.append({rename[lab]: t for lab, t in W.meta["pi"].items()})
-        yield posets, K, maps
+        yield ms, posets, K, maps
 
 
 @pytest.mark.parametrize("r, weight_max, reference", [
@@ -395,12 +501,41 @@ def _W_fiber_family(r, k, weight_max):
 ], ids=["K1-direct-covers", "K2-direct-covers", "K3-order"])
 def test_fiber_product_matches_the_constructions_it_replaced(r, weight_max, reference):
     n_products = 0
-    for posets, K, maps in _W_fiber_family(r, 2, weight_max):
+    for _, posets, K, maps in _W_fiber_family(r, 2, weight_max):
         FP, ref = fiber_product(posets, K, maps), reference(posets, K, maps)
         assert FP.labels == ref.labels and FP.ranks == ref.ranks
         assert FP.cover_pairs == ref.cover_pairs and FP._up == ref._up
         n_products += 1
     assert n_products == {1: 6, 2: 45, 3: 45}[r]
+
+
+def test_the_audit_fiber_family_needs_no_relabeling(monkeypatch):
+    # each memoized W_n goes to fiber_product as it is; the relabeled construction
+    # with an "idx:" prefix per factor gives the same poset up to that prefix
+    def name(tup, prefixed):  # a one-factor product is the factor itself
+        parts = [f"{c}:{x}" if prefixed else x for c, x in enumerate(tup)]
+        return parts[0] if len(tup) == 1 else "(" + ",".join(parts) + ")"
+
+    n_products = 0
+    for r in (1, 2):
+        for k in (1, 2, 3):
+            for ms, posets, K, maps in _W_fiber_family(r, k, 3):
+                plain = [enumerate_Wn(m) for m in ms]
+                pis = [W.meta["pi"] for W in plain]
+                FP, ref = fiber_product(plain, K, pis), fiber_product(posets, K, maps)
+                iso = {name(tup, True): name(tup, False)
+                       for tup in _fiber_tuples(plain, K, pis)[1].values()}
+                assert sorted(iso[lab] for lab in ref.labels) == list(FP.labels)
+                assert all(ref.rank_of(lab) == FP.rank_of(iso[lab]) for lab in ref.labels)
+                assert ({(iso[ref.labels[i]], iso[ref.labels[j]]) for i, j in ref.cover_pairs}
+                        == {(FP.labels[i], FP.labels[j]) for i, j in FP.cover_pairs})
+                n_products += 1
+    assert n_products == 19 + 219
+
+    def relabel(self, mapping):
+        raise AssertionError("relabel called")
+    monkeypatch.setattr(RankedPoset, "relabel", relabel)
+    assert audit_fiber_products(r_max=2, k_max=2, weight_max=2).passed
 
 
 def test_flag_vectors_pentagon():
@@ -603,7 +738,14 @@ def _doc(elements, covers):
     (_doc([("a", 0, 0), ("b", 1, 1), ("c", 1, 1)], [[0, 1]]), "id 1 appears twice"),
     # this one used to raise KeyError
     (_doc([("a", 0, 0), ("b", 1, 1)], [[0, 2]]), r"cover \[0, 2\] names an id with no element"),
-], ids=["repeated label", "repeated id", "unknown cover id"])
+    # these used to raise KeyError, ValueError and TypeError
+    ({"elements": [{"id": 0, "rank": 0}], "covers": []}, "no 'label' entry"),
+    ({"elements": [{"label": "a", "rank": 0}], "covers": []}, "no 'id' entry"),
+    ({"elements": [{"label": "a", "id": 0, "rank": 0}]}, "no 'covers' entry"),
+    (_doc([("a", 0, 0), ("b", 1, 1)], [[0]]), "malformed poset document: not enough values"),
+    (_doc([("a", 0, "x")], []), "needs an integer id and rank and a string label"),
+], ids=["repeated label", "repeated id", "unknown cover id", "no label", "no id", "no covers",
+        "short cover", "string rank"])
 def test_json_load_rejects_a_malformed_document(doc, why):
     with pytest.raises(PosetError, match=why):
         RankedPoset.from_json_dict(doc)

@@ -17,7 +17,7 @@ def test_no_assert_statements_in_the_package():
 
 def test_only_poset_reads_the_private_rows_of_a_ranked_poset():
     # the order, its covers and its closure check live in poset.py alone
-    private = {"_up", "_down", "_up_adj", "_down_adj", "_index", "_rank_masks", "_even", "_odd"}
+    private = {"_up", "_down", "_minimal", "_maximal", "_index", "_rank_masks", "_even", "_odd"}
     modules = [path for path in sorted(Path(assoc2.__file__).parent.glob("*.py"))
                if path.name != "poset.py"]
     assert modules
@@ -125,9 +125,10 @@ def test_only_the_table_constructor_writes_table_rows():
     assert sorted(set(written(tree)) - inside) == []
 
 
-def test_only_the_graded_test_family_probes_an_order():
-    # from_order probes every pair of increasing rank; W_n, K_r and fiber products
-    # hand their down-sets to from_down_sets, which their structure gives directly
+def test_no_engine_code_probes_an_order():
+    # from_order probes every pair of increasing rank; W_n, K_r, fiber products and
+    # the graded test family hand their down-sets to from_down_sets, which their
+    # structure gives directly
     callers = set()
     for path in sorted(Path(assoc2.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
@@ -140,6 +141,6 @@ def test_only_the_graded_test_family_probes_an_order():
                 if isinstance(node, ast.Call) and "from_order" in (
                         getattr(node.func, "attr", None), getattr(node.func, "id", None)):
                     callers.add(f"{path.stem}.{name}")
-    assert callers == {"audit.bounded_graded_family"}
+    assert callers == set()
     # perfbench/layers.py wraps these by name through RankedPoset.__dict__
     assert {"from_order", "__init__", "mobius"} <= set(assoc2.RankedPoset.__dict__)
