@@ -2,13 +2,13 @@
 
 The coefficient ring is Z[t, t^-1] with arbitrary-precision integers; series
 are truncated at a fixed total degree in the x-variables.  On top of the ring
-arithmetic sit the two fixed-point solvers: solve_f for the one-variable face
-count of the associahedra and solve_F for the per-tree face counts of the
-2-associahedra.  Both clear the denominator of their equation and fill the
-solution one total degree at a time: degree d of the cleared equation only
-depends on strictly smaller degrees, so each degree is computed once, from
-two degree-d convolutions.  The equation as written, with its geometric
-series, is then checked on the finished candidate.
+arithmetic sits the fixed-point solver solve_F for the per-tree face counts of
+the 2-associahedra; the one-variable face count of the associahedra, solve_f,
+is solve_F at the one-leaf tree.  It clears the denominator of the equation
+and fills the solution one total degree at a time: degree d of the cleared
+equation only depends on strictly smaller degrees, so each degree is
+computed once, from two degree-d convolutions.  The equation as written,
+with its geometric series, is then checked on the finished candidate.
 
 Every convolution of two series goes through one kernel, _degree_product.
 It packs each t-polynomial into one integer and each exponent vector into
@@ -26,7 +26,7 @@ from itertools import chain
 from operator import mul
 from typing import Mapping
 
-from .trees import Tree, dim_tree, root_decompose, tree_to_text
+from .trees import LEAF, Tree, dim_tree, root_decompose, tree_to_text
 
 
 class LaurentPoly:
@@ -318,9 +318,9 @@ def geometric_inverse(u: TruncatedSeries) -> TruncatedSeries:
 def _solve_cleared(H: TruncatedSeries, p: int) -> TruncatedSeries:
     """The solution with F_0 = 0 of F = H + t^-p ((1+t) F^2 - t H F).
 
-    This is F = t^-p F^2 / (1 - t^(1-p) F) + H with the denominator cleared.
-    Neither F nor H has a constant term, so degree d of F^2 and of H F only
-    reads degrees below d of F, and each degree is filled once.
+    This is solve_F's equation F = t^-p F^2 / (1 - t^(1-p) F) + H with the
+    denominator cleared.  Neither F nor H has a constant term, so degree d of
+    F^2 and of H F only reads degrees below d of F: each is filled once.
     """
     Hs = _graded(H)
     square_weight = LaurentPoly({-p: 1, 1 - p: 1})  # t^-p (1+t)
@@ -338,23 +338,9 @@ def _solve_cleared(H: TruncatedSeries, p: int) -> TruncatedSeries:
     return _ungraded(H.var_count, F)
 
 
-def _validate_counts(series: TruncatedSeries, what: str):
-    for n, p in series.terms.items():
-        if not p.is_nonneg_poly():
-            raise ArithmeticError(f"{what}: coefficient at {n} is not a nonnegative "
-                                  f"t-polynomial: {p!r}")
-
-
 def solve_f(max_degree: int) -> TruncatedSeries:
-    """Unique fixed point of f = x + f^2 * sum_j (t f)^j with linear term x."""
-    if max_degree < 1:
-        raise ValueError("need max_degree >= 1")
-    x = TruncatedSeries.variable(1, max_degree, 1)
-    f = _solve_cleared(x, 0)
-    if f != x + (f * f) * geometric_inverse(f.scaled(LaurentPoly.term(1, 1))):
-        raise ArithmeticError("solve_f: candidate is not a fixed point")
-    _validate_counts(f, "solve_f")
-    return f
+    """f = x + f^2 sum_j (t f)^j: solve_F at the one-leaf tree, from its memo."""
+    return solve_F(LEAF, max_degree)
 
 
 def check_f_closed_form(max_degree: int) -> tuple[bool, tuple | None]:
@@ -362,8 +348,7 @@ def check_f_closed_form(max_degree: int) -> tuple[bool, tuple | None]:
 
     Returns (True, None) on success, else (False, first offending exponent).
     """
-    f = solve_f(max_degree)
-    return _check_f_closed_form_of(f)
+    return _check_f_closed_form_of(solve_f(max_degree))
 
 
 def _check_f_closed_form_of(f: TruncatedSeries) -> tuple[bool, tuple | None]:
@@ -387,47 +372,46 @@ def _check_f_closed_form_of(f: TruncatedSeries) -> tuple[bool, tuple | None]:
 def solve_F(tree: Tree, max_degree: int) -> TruncatedSeries:
     """Fixed point of the per-tree counting equation.
 
-    For the one-leaf tree this is solve_f.  For T = C(T_1..T_k) the equation
+    For T = C(T_1..T_k) of dimension p the equation
 
         F = F^2 / (t^p - t F) + t^(p-1) (prod_i t^(p_i)/(t^(p_i) - t F_i) - 1)
 
     has a second summand H built from the branch series alone, with the
     divisions expanded as t-shifted geometric series, so intermediates are
-    Laurent in t.  The candidate F solves the equation with its denominator
-    cleared, F = H + t^-p ((1+t) F^2 - t H F), one degree at a time (each
-    degree costs two convolutions).  It must then satisfy the equation as
-    written, with the geometric series, and its coefficients must come out as
-    nonnegative t-polynomials (they count faces); anything else raises.
+    Laurent in t; the one-leaf tree has p = 0 and H = x.  The candidate F
+    solves the equation with its denominator cleared, one degree at a time
+    (_solve_cleared).  It must then satisfy the equation as written, with the
+    geometric series, and its coefficients must come out as nonnegative
+    t-polynomials (they count faces); anything else raises.
     """
     if max_degree < 1:
-        raise ValueError("need max_degree >= 1")
+        raise ValueError(f"need max_degree >= 1, got {max_degree}")
     r = tree.leaf_count()
     p = dim_tree(tree)
-    if r == 1:
-        F = solve_f(max_degree)
+    if tree.is_leaf:
+        H = TruncatedSeries.variable(1, max_degree, 1)
     else:
-        branches = root_decompose(tree)
-        horiz = TruncatedSeries.constant(r, max_degree, LP_ONE)
+        one = horiz = TruncatedSeries.constant(r, max_degree, LP_ONE)
         offset = 0
-        for child in branches:
-            q_i = child.leaf_count()
+        for child in root_decompose(tree):
             p_i = dim_tree(child)
             child_F = solve_F(child, max_degree).embed(r, offset)
             horiz = horiz * geometric_inverse(child_F.scaled(LaurentPoly.term(1, 1 - p_i)))
-            offset += q_i
-        one = TruncatedSeries.constant(r, max_degree, LP_ONE)
+            offset += child.leaf_count()
         H = (horiz - one).scaled(LaurentPoly.term(1, p - 1))
 
-        F = _solve_cleared(H, p)
-        vert = (F * F).scaled(LaurentPoly.term(1, -p)) \
-            * geometric_inverse(F.scaled(LaurentPoly.term(1, 1 - p)))
-        if F != vert + H:
-            raise ArithmeticError(f"solve_F({tree_to_text(tree)}): "
-                                  "candidate is not a fixed point")
-
+    F = _solve_cleared(H, p)
+    vert = (F * F).scaled(LaurentPoly.term(1, -p)) \
+        * geometric_inverse(F.scaled(LaurentPoly.term(1, 1 - p)))
+    what = f"solve_F({tree_to_text(tree)})"
+    if F != vert + H:
+        raise ArithmeticError(f"{what}: candidate is not a fixed point")
     if F.terms.get((0,) * r):
         raise ArithmeticError("solve_F produced a constant term; W_n requires n != 0")
-    _validate_counts(F, f"solve_F({tree_to_text(tree)})")
+    for n, q in F.terms.items():
+        if not q.is_nonneg_poly():
+            raise ArithmeticError(f"{what}: coefficient at {n} is not a nonnegative "
+                                  f"t-polynomial: {q!r}")
     return F
 
 

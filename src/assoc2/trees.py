@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from math import comb
 
 from .poset import RankedPoset
 
@@ -151,9 +152,6 @@ class Bracketing:
         """Bracket (lo, hi) as bit (lo - 1) r + hi - 1, below r * r."""
         return sum(1 << (lo - 1) * self.r + hi - 1 for lo, hi in self.brackets)
 
-    def key(self) -> str:
-        return f"r{self.r}:" + ",".join(f"{lo}-{hi}" for lo, hi in sorted(self.brackets))
-
     def to_json_dict(self) -> dict:
         # exported bracket lists include the implicit singletons
         full = sorted(self.brackets | {(i, i) for i in range(1, self.r + 1)})
@@ -233,14 +231,11 @@ def enumerate_Kr(r: int) -> RankedPoset:
     labels are the canonical tree texts.  RankedPoset.from_item_masks reads
     the covers off the bracket masks and checks that their closure is the
     whole order, as enumerate_Wn does for W_n.  The faces are counted by
-    count_K first, and above DEFAULT_MAX_ELEMENTS none is built.
+    check_K_size first, and above DEFAULT_MAX_ELEMENTS none is built.
     """
     if r < 1:
-        raise ValueError("need r >= 1")
-    expected = sum(count_K(m, r) for m in range(max(r - 1, 1)))
-    if expected > DEFAULT_MAX_ELEMENTS:
-        raise SearchSpaceError(f"K_{r} has {expected} faces, "
-                               f"above the bound {DEFAULT_MAX_ELEMENTS}")
+        raise ValueError(f"need r >= 1, got {r}")
+    check_K_size(r, DEFAULT_MAX_ELEMENTS)
     ranked = {}
     masks = {}
     for b in all_bracketings(r):
@@ -248,6 +243,23 @@ def enumerate_Kr(r: int) -> RankedPoset:
         ranked[lab] = b.dim
         masks[lab] = b.mask()
     return RankedPoset.from_item_masks(ranked, masks, meta={"kind": "K_r", "r": r})
+
+
+def check_K_size(q: int, bound: int, name: str | None = None) -> None:
+    """SearchSpaceError if |K_q| > bound, naming `name` (>= |K_q| faces) or K_q.
+
+    The cheap bounds |K_q| >= Catalan(q - 1) (its vertices) >= 2^(q - 2) go
+    first, the power of two by exponent alone; count_K runs only below both.
+    """
+    owner, at_least = (f"K_{q}", "") if name is None else (name, "at least ")
+    if q - 2 >= bound.bit_length():
+        raise SearchSpaceError(f"{owner} has at least 2^{q - 2} faces, above the bound {bound}")
+    vertices = comb(2 * q - 2, q - 1) // q
+    if vertices > bound:
+        raise SearchSpaceError(f"{owner} has at least {vertices} faces, above the bound {bound}")
+    size = sum(count_K(m, q) for m in range(max(q - 1, 1)))
+    if size > bound:
+        raise SearchSpaceError(f"{owner} has {at_least}{size} faces, above the bound {bound}")
 
 
 # --- the count recurrence ---

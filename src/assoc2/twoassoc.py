@@ -21,10 +21,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cache
+from math import factorial, prod
 
 from .poset import PosetError, RankedPoset, _bits
 from .trees import (DEFAULT_MAX_ELEMENTS, Bracketing, SearchSpaceError, Tree, all_bracketings,
-                    bracketing_to_tree, count_K, dim_tree, root_decompose, tree_to_text)
+                    bracketing_to_tree, check_K_size, count_K, dim_tree, root_decompose,
+                    tree_to_text)
 
 
 def check_nvector(n) -> tuple[int, ...]:
@@ -32,7 +34,7 @@ def check_nvector(n) -> tuple[int, ...]:
     if not n:
         raise ValueError("n must have r >= 1 entries")
     if any(v < 0 for v in n):
-        raise ValueError("n entries must be nonnegative")
+        raise ValueError(f"n entries must be nonnegative, got {n}")
     if not any(n):
         raise ValueError("n must be nonzero (n in Z_{>=0}^r \\ {0})")
     return n
@@ -674,8 +676,8 @@ def enumerate_Wn(n, max_elements: int = DEFAULT_MAX_ELEMENTS) -> RankedPoset:
     holders, its covers are that down-set restricted to the layer one rank
     lower, and the closure of the covers must give back every down-set.
     The construction asserts gradedness, the unique maximum at rank
-    |n| + r - 3 and minimal elements at rank 0.  The poset is memoized by n;
-    a memoized poset is checked against the bound by its own size.
+    |n| + r - 3 and minimal elements at rank 0.  Above max_elements no face
+    is built, and a memoized poset is checked by its own size.
     """
     n = check_nvector(n)
     poset = _ENUM_CACHE.get(n)
@@ -684,20 +686,31 @@ def enumerate_Wn(n, max_elements: int = DEFAULT_MAX_ELEMENTS) -> RankedPoset:
             raise SearchSpaceError(f"W_{n} has {len(poset)} faces, above the bound {max_elements}")
         return poset
     r = len(n)
-
+    # refuse from lower bounds before counting any fiber: |K_r|, as no fiber
+    # is empty, and over the corolla |K_(n_i)| (line i subdivided alone) and
+    # |n|! / prod_i n_i! (one point per screen)
+    for q in (r, *n):
+        if q:
+            check_K_size(q, max_elements, f"W_{n}")
+    stackings = factorial(sum(n)) // prod(map(factorial, n))
+    if stackings > max_elements:
+        raise SearchSpaceError(f"W_{n} has at least {stackings} faces, "
+                               f"above the bound {max_elements}")
     expected = 0
-    for kb in all_bracketings(r):
-        tree = bracketing_to_tree(kb)
-        expected += sum(count_W(tree, m, n) for m in range(top_rank(n) + 1))
-    if expected > max_elements:
-        raise SearchSpaceError(f"W_{n} has {expected} faces, above the bound {max_elements}")
+    bracketings = all_bracketings(r)
+    for i, kb in enumerate(bracketings, start=1):  # the corolla first
+        expected += sum(count_W(bracketing_to_tree(kb), m, n) for m in range(top_rank(n) + 1))
+        if expected > max_elements:
+            at_least = "at least " if i < len(bracketings) else ""
+            raise SearchSpaceError(f"W_{n} has {at_least}{expected} faces, "
+                                   f"above the bound {max_elements}")
 
     ranked: dict[str, int] = {}
     pi_of: dict[str, str] = {}
     masks: dict[str, int] = {}
     table = _table(n)
     intern = table.intern
-    for kb in all_bracketings(r):
+    for kb in bracketings:
         tree = bracketing_to_tree(kb)
         pi = _tree_text(kb)
         bracket_mask = kb.mask()  # below bit r * r

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import time
 from functools import cache
 
 import pytest
@@ -38,6 +39,37 @@ def test_K_r_above_the_bound_is_one_line_exit_2(argv, capsys):
 def test_counts_all_zero_n_is_usage_error():
     code, _ = run(["counts", "--n", "0,0"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    "wn enumerate --n 0,0", "counts --n 1,-1", "verify eulerian --n 0", "cd-index --n 0,0",
+    "assoc enumerate --r 0", "cd-index --r 0", "gf solve --max-degree 0",
+    "gf solve --tree (..) --max-degree -1", "counts --n 1,x", "gf solve --tree (. --max-degree 2",
+])
+def test_invalid_input_is_one_line_exit_2(argv, capsys):
+    # the engine checks the values; the front end only parses the text
+    code, out = run(argv.split())
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    "wn enumerate --n 150", "wn enumerate --n 99999999999999", "counts --n 600",
+    "assoc enumerate --r 150", "cd-index --r 1200", "wn enumerate --n 100",
+    "wn enumerate --n 0,0,0,0,0,0,0,0,0,0,1", "verify eulerian --n 1,1,1,1,1,1,1,1,1",
+    "wn enumerate --n 2,2,2,2,2,2,2,2,2", "cd-index --n 5,5,5,5",
+])
+def test_a_huge_input_is_refused_at_once(argv, capsys):
+    # lower bounds on the face count refuse before any count recurses or any fiber is walked
+    start = time.perf_counter()
+    code, out = run(argv.split())
+    elapsed = time.perf_counter() - start
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "above the bound 100000" in err
+    assert len(err.splitlines()) == 1
+    assert elapsed < 2, elapsed
 
 
 def test_counts_agree_table():
@@ -152,7 +184,7 @@ def _negate_geometric_inverse(monkeypatch):
     monkeypatch.setattr(series, "geometric_inverse", lambda u: real(u).scaled(minus_one))
     # a fresh memo, so the broken solver neither reads nor leaves cached series
     monkeypatch.setattr(series, "solve_F", cache(series.solve_F.__wrapped__))
-    return ["gf", "solve", "--max-degree", "4"], "solve_f"
+    return ["gf", "solve", "--max-degree", "4"], "solve_F(.)"
 
 
 def _reject_face_order(monkeypatch):

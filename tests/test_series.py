@@ -10,7 +10,7 @@ from assoc2 import series
 from assoc2.series import (LP_ONE, LaurentPoly, TruncatedSeries, check_f_closed_form,
                            coefficient, eval_t_minus1, geometric_inverse, solve_F,
                            solve_f, t_minus1_closed_form)
-from assoc2.trees import corolla, dim_tree, parse_tree, root_decompose
+from assoc2.trees import LEAF, corolla, dim_tree, parse_tree, root_decompose
 from assoc2.twoassoc import count_W, trees_of_Kr
 
 
@@ -113,6 +113,12 @@ def test_solve_F_leaf_equals_solve_f():
     assert solve_F(parse_tree("."), 7) == solve_f(7)
 
 
+def test_solve_f_is_solve_F_at_the_one_leaf_tree():
+    # one solver and one memo: f is never solved on a second path
+    for D in range(1, 13):
+        assert solve_f(D) is solve_F(LEAF, D)
+
+
 def test_solve_F_corolla2():
     F = solve_F(corolla(2), 4)
     assert F.coefficient_poly((1, 1)) == LaurentPoly({0: 2, 1: 1})
@@ -126,7 +132,7 @@ def test_solve_F_rejects_a_wrong_candidate(monkeypatch):
     def perturbed(H, p):
         F = real(H, p)
         if H.var_count == 1:
-            return F  # leave solve_f, which the branches use, intact
+            return F  # leave the one-leaf series, which the branches use, intact
         n = max(F.terms)
         return F + TruncatedSeries(F.var_count, F.max_degree, {n: LP_ONE})
     monkeypatch.setattr(series, "_solve_cleared", perturbed)

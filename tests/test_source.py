@@ -144,3 +144,17 @@ def test_no_engine_code_probes_an_order():
     assert callers == set()
     # perfbench/layers.py wraps these by name through RankedPoset.__dict__
     assert {"from_order", "__init__", "mobius"} <= set(assoc2.RankedPoset.__dict__)
+
+
+def test_the_series_has_one_solver():
+    # solve_f is solve_F at the one-leaf tree: one cleared solve, one fixed-point check
+    path = Path(assoc2.__file__).parent / "series.py"
+    tree = ast.parse(path.read_text(), str(path))
+    callers = [fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn)
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_solve_cleared"]
+    assert callers == ["solve_F"]
+    checks = [node.lineno for node in ast.walk(tree)
+              if isinstance(node, ast.Constant) and "not a fixed point" in str(node.value)]
+    assert len(checks) == 1
+    assert "_solve_cleared" not in _names_used(path)["solve_f"]

@@ -1,10 +1,12 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
 from assoc2 import trees, twoassoc
 from assoc2.trees import (DEFAULT_MAX_ELEMENTS, Bracketing, SearchSpaceError, Tree,
-                          all_bracketings, bracketing_to_tree, concat, corolla, count_K,
-                          dim_tree, enumerate_Kr, parse_tree, root_decompose,
+                          all_bracketings, bracketing_to_tree, check_K_size, concat, corolla,
+                          count_K, dim_tree, enumerate_Kr, parse_tree, root_decompose,
                           tree_to_bracketing, tree_to_text)
 from assoc2.series import coefficient, solve_f
 
@@ -43,6 +45,29 @@ def test_enumerate_Kr_refuses_above_the_bound_without_enumerating(monkeypatch):
         enumerate_Kr(10)
     assert twoassoc.SearchSpaceError is SearchSpaceError
     assert twoassoc.DEFAULT_MAX_ELEMENTS == DEFAULT_MAX_ELEMENTS == 100_000
+
+
+@pytest.mark.parametrize("q", range(1, 10))
+def test_check_K_size_refuses_only_above_the_bound(q):
+    size = sum(count_K(m, q) for m in range(max(q - 1, 1)))
+    for bound in (0, 1, 5, 42, 1000, 20000, size - 1, size):
+        if size > bound:
+            with pytest.raises(SearchSpaceError, match=f"K_{q} has "):
+                check_K_size(q, bound)
+        else:
+            check_K_size(q, bound)
+
+
+@pytest.mark.parametrize("q,name,message", [
+    (10 ** 14, None, "K_100000000000000 has at least 2^99999999999998 faces"),
+    (19, None, "K_19 has at least 2^17 faces"),        # 2^17 > 100000
+    (13, None, "K_13 has at least 208012 faces"),      # Catalan(12) vertices
+    (12, None, "K_12 has 2646723 faces"),              # Catalan(11) = 58786: counted
+    (12, "W_x", "W_x has at least 2646723 faces"),
+])
+def test_check_K_size_names_the_cheapest_bound_that_refuses(q, name, message):
+    with pytest.raises(SearchSpaceError, match=re.escape(message + ", above the bound 100000")):
+        check_K_size(q, DEFAULT_MAX_ELEMENTS, name)
 
 
 def test_Kr_unique_max_is_corolla():

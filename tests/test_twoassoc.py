@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import pickle
 import random
 import sys
@@ -126,6 +127,36 @@ def test_enumerate_respects_element_bound(monkeypatch):
     with pytest.raises(SearchSpaceError, match="17 faces"):
         enumerate_Wn((2, 1), max_elements=5)
     assert enumerate_Wn((2, 1), max_elements=17) is P
+
+
+class _Counted(Exception):
+    pass
+
+
+@pytest.mark.parametrize("n", desk_nvectors() + [(3, 0, 2), (9,)], ids=str)
+def test_the_lower_bounds_on_the_size_of_W_n_hold(n, monkeypatch):
+    # enumerate_Wn refuses from |K_r|, each |K_(n_i)| and |n|! / prod_i n_i! before counting
+    def size_K(q):
+        return sum(count_K(m, q) for m in range(max(q - 1, 1)))
+    P = enumerate_Wn(n)
+    fibers: dict[str, int] = {}
+    for lab in P.labels:
+        fibers[P.meta["pi"][lab]] = fibers.get(P.meta["pi"][lab], 0) + 1
+    assert len(fibers) == size_K(len(n))  # no fiber of the forgetful map is empty
+    over_corolla = fibers[tree_to_text(corolla(len(n)))]
+    assert all(over_corolla >= size_K(v) for v in n if v)
+    assert over_corolla >= math.factorial(sum(n)) // math.prod(map(math.factorial, n))
+
+    monkeypatch.setattr(twoassoc, "_ENUM_CACHE", {})
+    with pytest.raises(SearchSpaceError):
+        enumerate_Wn(n, max_elements=len(P) - 1)
+
+    # at exactly len(P) faces the bounds let the count run
+    def counted(*args):
+        raise _Counted
+    monkeypatch.setattr(twoassoc, "count_W", counted)
+    with pytest.raises(_Counted):
+        enumerate_Wn(n, max_elements=len(P))
 
 
 @pytest.mark.parametrize("n,rank", [((1, 1), 1), ((2,), 0), ((2, 1), 2), ((1,), 0)])
