@@ -114,7 +114,7 @@ def audit_identities(n_list, r_list, max_degree: int,
     for n in n_list:
         n = ta.check_nvector(n)
         P = enumerate_Wn(n)
-        comp = P.complete_with_min(-1, "F^min")
+        comp = P.complete_with_min("F^min")
         rep.add("What.balanced", {"n": list(n)}, 0,
                 comp.alternating_sum("F^min", comp.unique_max()))
         sums: dict[str, int] = {}
@@ -226,7 +226,7 @@ def audit_eulerian(n) -> AuditReport:
     """Full Eulerian verification of the completed poset plus cross-checks."""
     n = ta.check_nvector(n)
     rep = AuditReport()
-    P = enumerate_Wn(n).complete_with_min(-1, "F^min")
+    P = enumerate_Wn(n).complete_with_min("F^min")
     res = P.verify_eulerian()
     rep.add("eulerian.unbalanced_intervals", {"n": list(n), "pairs": res.pairs_checked},
             0, len(res.unbalanced))

@@ -160,10 +160,10 @@ def cmd_verify_eulerian(args, out) -> int:
 def cmd_cd_index(args, out) -> int:
     if args.n is not None:
         n = parse_nvector(args.n)
-        poset = ta.enumerate_Wn(n).complete_with_min(-1, "F^min")
+        poset = ta.enumerate_Wn(n).complete_with_min("F^min")
         name = "W_(" + ",".join(map(str, n)) + ")^"
     else:
-        poset = tr.enumerate_Kr(args.r).complete_with_min(-1, "K^min")
+        poset = tr.enumerate_Kr(args.r).complete_with_min("K^min")
         name = f"K_{args.r}^"
     # the cd-index only exists for Eulerian posets: verify first, refuse otherwise
     res = poset.verify_eulerian()

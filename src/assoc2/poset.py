@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from bisect import bisect
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -63,9 +64,10 @@ class RankedPoset:
         self._even = sum(m for r, m in self._rank_masks if r % 2 == 0)
         self._odd = sum(m for r, m in self._rank_masks if r % 2)
 
-    def _close(self, cover_pairs: Iterable[tuple[int, int]]) -> None:
+    def _close(self, cover_pairs: Iterable[tuple[int, int]],
+               down: Sequence[int] | None = None) -> None:
         """Store the covers, index pairs that must raise rank by one, their closure
-        and the masks of the minimal and the maximal elements."""
+        (given down-sets are kept once checked) and the minimal and maximal masks."""
         self.cover_pairs: tuple[tuple[int, int], ...] = tuple(sorted(cover_pairs))
 
         n, labels, ranks = len(self.labels), self.labels, self.ranks
@@ -80,22 +82,27 @@ class RankedPoset:
         self._minimal = sum(1 << i for i in range(n) if not down_adj[i])
         self._maximal = sum(1 << i for i in range(n) if not up_adj[i])
 
-        # Reflexive-transitive closure as bitmasks, filled in rank order.
+        # Reflexive-transitive closure as bitmasks, filled in rank order.  Given
+        # down-sets are the closure iff each is its bit joined with its covers'.
         order = sorted(range(n), key=ranks.__getitem__)
+        closed = [0] * n if down is None else list(down)
+        for j in order:
+            m = 1 << j
+            for i in down_adj[j]:
+                m |= closed[i]
+            if down is None:
+                closed[j] = m
+            elif m != closed[j]:
+                raise PosetError(f"order is not the closure of rank-adjacent covers below "
+                                 f"{labels[j]!r} (a relation skips a rank, or is not transitive)")
         up = [0] * n
         for i in reversed(order):
             m = 1 << i
             for j in up_adj[i]:
                 m |= up[j]
             up[i] = m
-        down = [0] * n
-        for j in order:
-            m = 1 << j
-            for i in down_adj[j]:
-                m |= down[i]
-            down[j] = m
         self._up = up
-        self._down = down
+        self._down = closed
 
     # --- constructors ---
 
@@ -151,7 +158,7 @@ class RankedPoset:
         down[i] is the mask of the elements at or below element i, itself
         included, over the sorted labels.  Element i's covers are down[i]
         restricted to the layer one rank lower.  The closure of those covers
-        must give back every down-set, or the poset is rejected.
+        must give back every down-set, which the poset keeps, or it is rejected.
         """
         P = cls.__new__(cls)
         P._elements(ranked_labels, meta)
@@ -160,11 +167,7 @@ class RankedPoset:
         layer = dict(P._rank_masks)
         ids = list(P._index.values())  # 0..n-1 as _index holds them: covers reuse these ints
         P._close([(ids[a], i) for i, r in zip(ids, P.ranks)
-                  for a in _bits(down[i] & layer.get(r - 1, 0))])
-        for i, lab in enumerate(P.labels):
-            if P._down[i] != down[i]:
-                raise PosetError(f"order is not the closure of rank-adjacent covers below "
-                                 f"{lab!r} (a relation skips a rank, or is not transitive)")
+                  for a in _bits(down[i] & layer.get(r - 1, 0))], down)
         return P
 
     # --- basic queries ---
@@ -278,20 +281,16 @@ class RankedPoset:
 
     # --- structural operations ---
 
-    def complete_with_min(self, min_rank: int = -1, label: str = "0^") -> "RankedPoset":
-        """Adjoin one formal minimum below all minimal elements."""
-        lo = min(self.ranks)
-        if min_rank >= lo:
-            raise PosetError(f"min_rank {min_rank} is not strictly below every rank (min existing {lo})")
-        if min_rank != lo - 1:
-            raise PosetError("formal minimum must sit exactly one rank below the minimal layer")
+    def complete_with_min(self, label: str = "0^") -> "RankedPoset":
+        """Adjoin a formal minimum one rank below the lowest, under every element."""
         if label in self._index:
             raise PosetError(f"label {label!r} already present")
-        ranked = {lab: self.ranks[self._index[lab]] for lab in self.labels}
-        ranked[label] = min_rank
-        covers = [(self.labels[i], self.labels[j]) for i, j in self.cover_pairs]
-        covers += [(label, m) for m in self.minimal_elements()]
-        return RankedPoset(ranked, covers, self.meta)
+        p = bisect(self.labels, label)  # the new label's sorted place
+        below, bit = (1 << p) - 1, 1 << p
+        down = [d & below | (d >> p) << (p + 1) | bit for d in self._down]
+        down.insert(p, bit)
+        ranked = {**dict(zip(self.labels, self.ranks)), label: min(self.ranks) - 1}
+        return RankedPoset.from_down_sets(ranked, down, self.meta)
 
     def relabel(self, mapping: Mapping[str, str]) -> "RankedPoset":
         """The same order under new labels; mapping must send the labels one to one."""

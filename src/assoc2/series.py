@@ -23,10 +23,17 @@ import json
 from collections import defaultdict
 from functools import cache
 from itertools import chain
+from math import comb
 from operator import mul
 from typing import Mapping
 
-from .trees import LEAF, Tree, dim_tree, root_decompose, tree_to_text
+from .trees import LEAF, SearchSpaceError, Tree, dim_tree, root_decompose, tree_to_text
+
+# solve_F refuses a tree on r leaves at degree D above this many steps,
+# C(D + 2r, 2r) D^2: the pairs of exponent vectors of total degree <= D,
+# each a product of t-polynomials of about D terms.  Solves near the bound
+# took 3-12 s on a 2-vCPU host, with Python 3.11.
+MAX_SOLVE_STEPS = 10 ** 8
 
 
 class LaurentPoly:
@@ -382,11 +389,17 @@ def solve_F(tree: Tree, max_degree: int) -> TruncatedSeries:
     solves the equation with its denominator cleared, one degree at a time
     (_solve_cleared).  It must then satisfy the equation as written, with the
     geometric series, and its coefficients must come out as nonnegative
-    t-polynomials (they count faces); anything else raises.
+    t-polynomials (they count faces); anything else raises.  A solve above
+    MAX_SOLVE_STEPS raises SearchSpaceError before any series is built.
     """
     if max_degree < 1:
         raise ValueError(f"need max_degree >= 1, got {max_degree}")
     r = tree.leaf_count()
+    steps = comb(max_degree + 2 * r, 2 * r) * max_degree ** 2
+    if steps > MAX_SOLVE_STEPS:
+        raise SearchSpaceError(f"solve_F({tree_to_text(tree)}) to degree {max_degree} takes "
+                               f"C(D + 2r, 2r) D^2 = {steps} steps, above the bound "
+                               f"{MAX_SOLVE_STEPS}")
     p = dim_tree(tree)
     if tree.is_leaf:
         H = TruncatedSeries.variable(1, max_degree, 1)

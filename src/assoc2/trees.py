@@ -264,11 +264,23 @@ def check_K_size(q: int, bound: int, name: str | None = None) -> None:
 
 # --- the count recurrence ---
 
-@cache
 def count_K(m: int, r: int) -> int:
-    """Number of faces of K_r with dimension m, by the concatenation recurrence."""
+    """Number of faces of K_r with dimension m, by the concatenation recurrence.
+
+    The memos are filled by increasing leaf count, at every dimension up to
+    m, before K_r is asked for: each sum then reads filled entries, so the
+    call depth does not grow with r.
+    """
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
+    for q in range(2, r):
+        for m1 in range(m + 1):
+            _count_K(m1, q)
+    return _count_K(m, r)
+
+
+@cache
+def _count_K(m: int, r: int) -> int:
     if m < 0:
         return 0
     if r == 1:
@@ -282,11 +294,11 @@ def _count_K_parts(k: int, m: int, r: int) -> int:
     if m < 0 or r < k:
         return 0
     if k == 1:
-        return count_K(m, r)
+        return _count_K(m, r)
+    # a face of dimension m1 has r1 >= m1 + 2 leaves, or is the leaf; k - 1
+    # trees on r' leaves have dimensions summing to at most r' - k + 1
     total = 0
     for m1 in range(m + 1):
-        for r1 in range(1, r - k + 2):
-            a = count_K(m1, r1)
-            if a:
-                total += a * _count_K_parts(k - 1, m - m1, r - r1)
+        for r1 in range(m1 + 2 if m1 else 1, r - k + 2 - (m - m1)):
+            total += _count_K(m1, r1) * _count_K_parts(k - 1, m - m1, r - r1)
     return total

@@ -768,7 +768,29 @@ def count_W(tree: Tree, m: int, n) -> int:
         raise ValueError(f"tree has {tree.leaf_count()} leaves but n has {len(n)} entries")
     if m < 0:
         return 0
+    _fill_memos(tree, n)
     return _fiber_poly(tree, n).get(m, 0)
+
+
+@cache
+def _fill_memos(tree: Tree, n: tuple[int, ...]) -> None:
+    """Memoize _stacks over each subtree at every vector up to its block of n,
+    and over `tree` at every vector below n, subtrees and smaller vectors first.
+
+    Each sum of _stacks and _fiber_poly then reads filled entries, so the
+    call depth does not grow with |n|.  Memoized itself, so the count_W
+    calls of one (tree, n), one per dimension, fill once.
+    """
+    if not tree.is_leaf:
+        pos = 0
+        for child in root_decompose(tree):
+            block = n[pos:pos + child.leaf_count()]
+            _fill_memos(child, block)
+            _stacks(child, block)
+            pos += len(block)
+    for q, rest in _splits(n):  # q comes after every smaller vector
+        if any(rest):
+            _stacks(tree, q)
 
 
 def _convolve(a: dict[int, int], b: dict[int, int], shift: int = 0,

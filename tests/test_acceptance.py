@@ -134,13 +134,14 @@ def test_criterion_8_reduced_products(capsys):
 
 
 def test_criterion_9_cd_index(capsys):
-    P = enumerate_Kr(4).complete_with_min(-1, "0^")
+    P = enumerate_Kr(4).complete_with_min("0^")
     ok = cd_index(P).terms == {"cc": 1, "d": 3}
-    Q = enumerate_Wn((1, 1)).complete_with_min(-1, "F^min")
+    Q = enumerate_Wn((1, 1)).complete_with_min("F^min")
     ok = ok and cd_index(Q).terms == {"c": 1}
     for n in desk_nvectors():
-        comp = enumerate_Wn(n).complete_with_min(-1, "F^min")
+        comp = enumerate_Wn(n).complete_with_min("F^min")
         cd = cd_index(comp)  # raises NonEulerianError on a nonzero remainder
+        ok = ok and min(cd.terms.values()) >= 0
         span = comp.rank_of(comp.unique_max()) + 1
         if span >= 1:
             ok = ok and all(

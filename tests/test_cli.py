@@ -72,6 +72,22 @@ def test_a_huge_input_is_refused_at_once(argv, capsys):
     assert elapsed < 2, elapsed
 
 
+@pytest.mark.parametrize("argv", [
+    "gf solve --max-degree 400", "counts --n 2,1 --max-degree 300",
+    "gf solve --tree ((..).) --max-degree 40",
+])
+def test_a_huge_series_solve_is_refused_at_once(argv, capsys):
+    # these ran for minutes with no output; the bound is read off (r, D) before any solve
+    start = time.perf_counter()
+    code, out = run(argv.split())
+    elapsed = time.perf_counter() - start
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: solve_F(") and f"above the bound {series.MAX_SOLVE_STEPS}" in err
+    assert len(err.splitlines()) == 1
+    assert elapsed < 2, elapsed
+
+
 def test_counts_agree_table():
     code, out = run(["counts", "--n", "1,1"])
     assert code == 0
@@ -149,6 +165,8 @@ def test_output_bytes_are_pinned(argv, sha256):
     # a faster engine must print exactly the same bytes
     code, out = run(argv.split())
     assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == sha256
+    if argv.startswith("cd-index"):
+        assert min(json.loads(out)["cd_index"].values()) >= 0
 
 
 def test_cache_env_variable_is_ignored(tmp_path, monkeypatch):
@@ -192,8 +210,8 @@ def _reject_face_order(monkeypatch):
     # holders check of the face order reports as a PosetError
     close = RankedPoset._close
 
-    def drop_first_cover(self, cover_pairs):
-        close(self, sorted(cover_pairs)[1:])
+    def drop_first_cover(self, cover_pairs, down=None):
+        close(self, sorted(cover_pairs)[1:], down)
     monkeypatch.setattr(RankedPoset, "_close", drop_first_cover)
     monkeypatch.setattr(twoassoc, "_ENUM_CACHE", {})
     return ["wn", "enumerate", "--n", "1,1"], "face order of W_(1, 1): "

@@ -5,7 +5,8 @@ from collections import Counter
 
 import pytest
 
-from assoc2.audit import _all_middle_posets, audit_fiber_products, bounded_graded_family
+from assoc2.audit import (_all_middle_posets, audit_fiber_products, bounded_graded_family,
+                          desk_nvectors)
 from assoc2.poset import (CdPolynomial, FlagVector, NonEulerianError, PosetError,
                           RankedPoset, ab_index, cd_index, fiber_product,
                           _bits, flag_f_vector, flag_h_vector, reduced_product)
@@ -45,6 +46,22 @@ def test_from_down_sets_rejects_an_order_its_covers_do_not_close_to(ranked, down
     with pytest.raises(PosetError, match="^order is not the closure of rank-adjacent "
                                          "covers below 'c'"):
         RankedPoset.from_down_sets(ranked, down)
+
+
+def test_from_down_sets_names_the_lowest_ranked_bad_row():
+    # 'a' skips a rank and 'b' leaves itself out; rows are checked in rank order
+    with pytest.raises(PosetError, match="^order is not the closure of rank-adjacent "
+                                         "covers below 'b'"):
+        RankedPoset.from_down_sets({"a": 2, "b": 1, "c": 0}, [0b101, 0b100, 0b100])
+
+
+def test_from_down_sets_keeps_the_rows_it_checks():
+    K = enumerate_Kr(5)
+    down = [int(str(d)) for d in K._down]  # fresh objects, most above the small-int cache
+    P = RankedPoset.from_down_sets(dict(zip(K.labels, K.ranks)), down)
+    assert sum(d > 256 for d in down) > 30
+    assert all(P._down[i] is down[i] for i in range(len(down)))
+    assert P._down == K._down and P._up == K._up and P.cover_pairs == K.cover_pairs
 
 
 def test_from_down_sets_needs_one_down_set_per_element():
@@ -196,7 +213,7 @@ def test_alternating_sum_single_and_chain():
 
 
 def test_alternating_sum_completed_K4():
-    P = enumerate_Kr(4).complete_with_min(-1, "0^")
+    P = enumerate_Kr(4).complete_with_min("0^")
     assert len(P) == 12
     assert P.alternating_sum("0^", P.unique_max()) == 0
     # the new bottom covers exactly the 5 vertices
@@ -221,7 +238,7 @@ def test_mobius():
 
 
 def test_verify_eulerian_pentagon():
-    P = enumerate_Kr(4).complete_with_min(-1, "0^")
+    P = enumerate_Kr(4).complete_with_min("0^")
     rep = P.verify_eulerian()
     assert rep.is_eulerian and rep.graded and rep.unbalanced == ()
 
@@ -236,7 +253,7 @@ def test_verify_eulerian_flags_triple_diamond():
 
 
 def test_verify_eulerian_W11():
-    P = enumerate_Wn((1, 1)).complete_with_min(-1, "F^min")
+    P = enumerate_Wn((1, 1)).complete_with_min("F^min")
     assert len(P) == 4
     assert P.verify_eulerian().is_eulerian
     # rank-2 interval of a verified Eulerian poset is balanced
@@ -245,14 +262,66 @@ def test_verify_eulerian_W11():
 
 def test_complete_with_min():
     P = enumerate_Wn((1,))
-    Q = P.complete_with_min(-1, "F^min")
+    Q = P.complete_with_min("F^min")
     assert sorted(Q.ranks) == [-1, 0]
+    with pytest.raises(PosetError, match="already present"):
+        P.complete_with_min(P.labels[0])
+
+
+def _complete_by_label_covers(P, label):
+    """complete_with_min as it was: the covers as label pairs plus the new minimum
+    under every minimal element, closed again by the label constructor."""
+    ranked = {lab: P.rank_of(lab) for lab in P.labels}
+    ranked[label] = min(P.ranks) - 1
+    covers = [(P.labels[i], P.labels[j]) for i, j in P.cover_pairs]
+    covers += [(label, m) for m in P.minimal_elements()]
+    return RankedPoset(ranked, covers, P.meta)
+
+
+def test_completion_matches_the_label_cover_construction():
+    # new labels that sort first, in the middle and last among bot, m0..m3, top
+    cases = [(P, label) for min_rank in (-1, -2) for P in bounded_graded_family(6, min_rank)
+             for label in ("0^", "m0x", "zz")]
+    cases += [(enumerate_Wn(n), "F^min") for n in desk_nvectors()]
+    cases += [(enumerate_Kr(r), "K^min") for r in range(1, 7)]
+    assert len(cases) == 839
+    for P, label in cases:
+        got, want = P.complete_with_min(label), _complete_by_label_covers(P, label)
+        assert (got.labels, got.ranks, got.cover_pairs, got._down, got._up, got._minimal,
+                got._maximal, got.meta) == (want.labels, want.ranks, want.cover_pairs,
+                                            want._down, want._up, want._minimal,
+                                            want._maximal, want.meta), (P.labels, label)
+
+
+def test_completion_refuses_a_minimal_element_above_the_lowest_rank():
+    P = RankedPoset({"a": 0, "b": 1}, [])
     with pytest.raises(PosetError):
-        P.complete_with_min(0)
+        P.complete_with_min()
+
+
+# the completed W_n measured to be lattices, up to 1,138 elements
+LATTICE_NVECTORS = [(1, 1), (2, 1), (3, 1), (4, 1), (2, 2), (1, 0, 1), (2, 0, 1), (2, 0, 2),
+                    (1, 1, 1), (2, 1, 1), (1, 2, 1)]
+
+
+@pytest.mark.parametrize("n", LATTICE_NVECTORS)
+def test_completed_Wn_is_a_lattice(n):
+    # a polytope's face lattice is a lattice; no count oracle is involved.  For an
+    # incomparable pair, the lowest layer of the common upper bounds is one element z,
+    # and every common upper bound lies above z
+    P = enumerate_Wn(n).complete_with_min("F^min")
+    up, down = P._up, P._down
+    layers = [m for _, m in P._rank_masks]
+    for i in range(len(P)):
+        for j in _bits(~(up[i] | down[i]) & ((1 << len(P)) - 1) & ~((1 << i) - 1)):
+            common = up[i] & up[j]
+            lowest = next(common & m for m in layers if common & m)
+            assert lowest.bit_count() == 1, (P.labels[i], P.labels[j])
+            assert up[lowest.bit_length() - 1] & common == common, (P.labels[i], P.labels[j])
 
 
 def test_eulerian_iff_mobius():
-    P = enumerate_Wn((2, 1)).complete_with_min(-1, "F^min")
+    P = enumerate_Wn((2, 1)).complete_with_min("F^min")
     for x in P.labels:
         for y in P.labels:
             if P.leq(x, y):
@@ -284,7 +353,7 @@ def _diamond_failures_over_the_up_set(P):
 
 
 def test_diamond_sweep_reads_the_layer_two_ranks_up():
-    posets = bounded_graded_family(6) + [enumerate_Wn(n).complete_with_min(-1, "F^min")
+    posets = bounded_graded_family(6) + [enumerate_Wn(n).complete_with_min("F^min")
                                          for n in [(2, 1), (1, 1, 1)]]
     assert any(P.diamond_failures() for P in posets)
     for P in posets:
@@ -300,7 +369,7 @@ def test_mobius_failures_match_label_level_definition():
     triple = RankedPoset({"bot": -1, "a": 0, "b": 0, "c": 0, "top": 1},
                          [("bot", x) for x in "abc"] + [(x, "top") for x in "abc"])
     posets = bounded_graded_family(5) + [triple, chain(0, 1, 2, 3),
-                                         enumerate_Wn((2, 1)).complete_with_min(-1, "F^min")]
+                                         enumerate_Wn((2, 1)).complete_with_min("F^min")]
     assert any(P.mobius_failures() for P in posets)
     for P in posets:
         assert sorted(P.mobius_failures()) == _label_level_mobius_failures(P)
@@ -314,7 +383,7 @@ def test_reduced_product_two_chains():
 
 
 def test_reduced_product_completed_segment():
-    seg = enumerate_Wn((1, 1)).complete_with_min(-1, "F^min")  # ranks -1,0,0,1
+    seg = enumerate_Wn((1, 1)).complete_with_min("F^min")  # ranks -1,0,0,1
     R = reduced_product(seg, seg)
     assert len(R) == 10
     assert sum((-1) ** r for r in R.ranks) == 0  # balanced factors stay balanced
@@ -539,7 +608,7 @@ def test_the_audit_fiber_family_needs_no_relabeling(monkeypatch):
 
 
 def test_flag_vectors_pentagon():
-    P = enumerate_Kr(4).complete_with_min(-1, "0^")
+    P = enumerate_Kr(4).complete_with_min("0^")
     fv = flag_f_vector(P)
     assert fv.rank_span == 3
     assert fv.entry([]) == 1
@@ -553,8 +622,8 @@ def test_flag_vectors_pentagon():
 def _flag_test_posets():
     """Bounded graded posets, some of them not Eulerian."""
     return (bounded_graded_family(6)
-            + [enumerate_Kr(r).complete_with_min(-1, "0^") for r in range(1, 6)]
-            + [enumerate_Wn(n).complete_with_min(-1, "F^min")
+            + [enumerate_Kr(r).complete_with_min("0^") for r in range(1, 6)]
+            + [enumerate_Wn(n).complete_with_min("F^min")
                for n in [(1, 1), (2, 1), (1, 1, 1), (2, 2)]])
 
 
@@ -608,7 +677,7 @@ def test_flag_h_vector_matches_inclusion_exclusion():
 
 def test_sweeps_leave_the_poset_unchanged():
     P = enumerate_Wn((2, 1))
-    for Q in (P, P.complete_with_min(-1, "F^min")):
+    for Q in (P, P.complete_with_min("F^min")):
         before = copy.deepcopy(vars(Q))
         Q.mobius(Q.minimal_elements()[0], Q.unique_max())
         Q.mobius_failures()
@@ -630,7 +699,7 @@ def test_signed_counts_are_int_below_rank_zero():
 
 def test_signed_parity_masks_match_the_per_rank_sum():
     posets = (bounded_graded_family(6, min_rank=-1) + bounded_graded_family(6, min_rank=-2)
-              + [enumerate_Wn(n).complete_with_min(-1, "F^min") for n in [(2, 1), (1, 1, 1)]])
+              + [enumerate_Wn(n).complete_with_min("F^min") for n in [(2, 1), (1, 1, 1)]])
     for P in posets:
         def per_rank(mask):
             total = 0
@@ -653,8 +722,8 @@ def test_flag_vector_invariants():
 
 @pytest.mark.parametrize("builder,expect", [
     (lambda: chain(-1, 0), {"": 1}),
-    (lambda: enumerate_Wn((1, 1)).complete_with_min(-1, "F^min"), {"c": 1}),
-    (lambda: enumerate_Kr(4).complete_with_min(-1, "0^"), {"cc": 1, "d": 3}),
+    (lambda: enumerate_Wn((1, 1)).complete_with_min("F^min"), {"c": 1}),
+    (lambda: enumerate_Kr(4).complete_with_min("0^"), {"cc": 1, "d": 3}),
 ])
 def test_cd_index_values(builder, expect):
     assert cd_index(builder()).terms == expect
@@ -696,11 +765,12 @@ def test_cd_index_requires_bounds():
 
 def test_cd_weight_invariant():
     for n in [(1, 1), (2, 1), (1, 1, 1)]:
-        P = enumerate_Wn(n).complete_with_min(-1, "F^min")
+        P = enumerate_Wn(n).complete_with_min("F^min")
         cd = cd_index(P)
         span = P.rank_of(P.unique_max()) - P.rank_of("F^min")
         assert cd.weight == span - 1
         assert cd.coefficient("c" * (span - 1)) == 1
+        assert min(cd.terms.values()) >= 0
 
 
 def test_cd_polynomial_homogeneity():
@@ -714,8 +784,9 @@ def test_cd_index_three_polytope_formula(n):
     P = enumerate_Wn(n)
     rc = P.rank_counts()
     assert sorted(rc) == [0, 1, 2, 3]
-    comp = P.complete_with_min(-1, "F^min")
+    comp = P.complete_with_min("F^min")
     assert cd_index(comp).terms == {"ccc": 1, "cd": rc[2] - 2, "dc": rc[0] - 2}
+    assert min(rc[2], rc[0]) >= 2  # a nonnegative cd-index
 
 
 def test_json_round_trip():

@@ -10,7 +10,7 @@ from assoc2 import series
 from assoc2.series import (LP_ONE, LaurentPoly, TruncatedSeries, check_f_closed_form,
                            coefficient, eval_t_minus1, geometric_inverse, solve_F,
                            solve_f, t_minus1_closed_form)
-from assoc2.trees import LEAF, corolla, dim_tree, parse_tree, root_decompose
+from assoc2.trees import LEAF, SearchSpaceError, corolla, dim_tree, parse_tree, root_decompose
 from assoc2.twoassoc import count_W, trees_of_Kr
 
 
@@ -383,3 +383,23 @@ def test_laurent_ring_axioms(a, b, c):
     assert a * b == b * a
     assert (a + b) * c == a * c + b * c
     assert (a - a).coeffs == {}
+
+
+@pytest.mark.parametrize("text,D", [
+    # README's K_3 trees, the count_oracles benchmark instances, r = 4 and r = 5 as planned
+    ("((..).)", 12), ("(.(..))", 12), ("(...)", 12), ("(..)", 10), ("(...)", 8),
+    ("(....)", 5), ("(....)", 10), ("(.....)", 8), (".", 12),
+])
+def test_solve_bound_admits_the_planned_solves(text, D):
+    assert solve_F(parse_tree(text), D).max_degree == D
+
+
+@pytest.mark.parametrize("text,D", [(".", 400), ("(..)", 300), ("((..).)", 40), ("(..)", 40)])
+def test_solve_bound_refuses_from_r_and_D_alone(text, D, monkeypatch):
+    # nothing is solved: a solver that raises on any call is never reached
+    def no_solve(*args):
+        raise AssertionError("solved")
+    monkeypatch.setattr(series, "_solve_cleared", no_solve)
+    monkeypatch.setattr(series, "solve_F", cache(series.solve_F.__wrapped__))
+    with pytest.raises(SearchSpaceError, match=re.escape(f"solve_F({text}) to degree {D}")):
+        series.solve_F(parse_tree(text), D)

@@ -1,3 +1,4 @@
+import math
 import re
 
 import pytest
@@ -159,6 +160,24 @@ def test_count_K_values(m, r, value):
     assert count_K(m, r) == value
 
 
+def _kirkman_cayley(m, r):
+    """Dissections of an (r+1)-gon by k = r - 2 - m diagonals: the faces of K_r of dimension m."""
+    k = r - 2 - m
+    return math.comb(r - 2, k) * math.comb(r + k, k) // (k + 1)
+
+
+def test_count_K_matches_kirkman_cayley():
+    assert [count_K(m, r) for r in range(2, 61) for m in range(r - 1)] \
+        == [_kirkman_cayley(m, r) for r in range(2, 61) for m in range(r - 1)]
+
+
+def test_count_K_fills_its_memo_bottom_up():
+    # K_1200 asked first: the recursion used to go about r deep and overflow
+    trees._count_K.cache_clear()
+    trees._count_K_parts.cache_clear()
+    assert count_K(0, 1200) == _kirkman_cayley(0, 1200) == math.comb(2398, 1199) // 1200
+
+
 def test_count_K_rejects_bad_r():
     with pytest.raises(ValueError):
         count_K(0, 0)
@@ -181,7 +200,7 @@ def test_Kr_alternating_sum_is_one():
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
 def test_completed_Kr_is_eulerian(r):
-    P = enumerate_Kr(r).complete_with_min(-1, "0^")
+    P = enumerate_Kr(r).complete_with_min("0^")
     assert P.verify_eulerian().is_eulerian
 
 

@@ -624,8 +624,8 @@ def test_containment_order_rejects_a_skip_rank_relation():
 def test_a_dropped_cover_is_a_verification_error(monkeypatch):
     close = RankedPoset._close
 
-    def drop_last_cover(self, cover_pairs):
-        close(self, sorted(cover_pairs)[:-1])
+    def drop_last_cover(self, cover_pairs, down=None):
+        close(self, sorted(cover_pairs)[:-1], down)
     monkeypatch.setattr(RankedPoset, "_close", drop_last_cover)
     monkeypatch.setattr(twoassoc, "_ENUM_CACHE", {})
     with pytest.raises(VerificationError, match=r"^face order of W_\(2, 1\): order is not"):
@@ -890,6 +890,48 @@ def test_recurrence_rejects_a_negative_dimension(monkeypatch):
     monkeypatch.setattr(twoassoc, "dim_tree", lambda tree: -1)
     with pytest.raises(VerificationError, match="negative dimension"):
         count_W(corolla(2), 0, (1, 1))
+
+
+# count_W at the parent of the bottom-up memo fill, beyond the series cross-checks
+COUNT_W_REFERENCE = {
+    ((16, 1), "(..)"): [48289295226, 438351406977, 1820864071318, 4583104187473, 7800950985104,
+                        9488419214138, 8495336195112, 5681789921895, 2850009121350,
+                        1066587025269, 293414903586, 57759801569, 7781818024, 665704376,
+                        31461920, 589943, 1],
+    ((2, 0, 7), "(...)"): [0, 246816, 1110336, 2063508, 2038347, 1143947, 359323, 57148, 3413, 1],
+    ((2, 0, 7), "((..).)"): [267048, 1208460, 2261344, 2251994, 1276322, 405842, 65591, 4010, 2,
+                             0],
+    ((2, 0, 7), "(.(..))"): [765904, 3696660, 7447446, 8080721, 5068695, 1822822, 344120, 26025,
+                             64, 0],
+}
+
+
+def test_count_W_matches_the_recorded_table():
+    for (n, text), want in COUNT_W_REFERENCE.items():
+        assert [count_W(parse_tree(text), m, n) for m in range(top_rank(n) + 1)] == want
+
+
+@pytest.mark.parametrize("n", [(25, 1), (2, 0, 12)])
+def test_count_W_depth_does_not_grow_with_n(n, monkeypatch):
+    # the memos are filled bottom-up, so a few dozen frames suffice at any n; the
+    # top-down recursion needed about 7 per point, (25, 1) about 180
+    from assoc2 import trees
+    for memo in (trees._count_K, trees._count_K_parts):
+        memo.cache_clear()
+    for name in ("_fiber_poly", "_stacks", "_fill_memos"):
+        monkeypatch.setattr(twoassoc, name, cache(getattr(twoassoc, name).__wrapped__))
+    frames = 0
+    frame = sys._getframe()
+    while frame:
+        frames, frame = frames + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(frames + 60)
+    try:
+        counts = [count_W(corolla(len(n)), m, n) for m in range(top_rank(n) + 1)]
+    finally:
+        sys.setrecursionlimit(limit)
+    # the fiber over the corolla is a cell
+    assert sum((-1) ** m * c for m, c in enumerate(counts)) == (-1) ** (len(n) - 2)
 
 
 def test_count_W_shape_mismatch():
