@@ -15,7 +15,15 @@ import itertools
 import json
 from bisect import bisect
 from dataclasses import dataclass, field
+from functools import cached_property
+from math import prod
 from typing import Callable, Iterable, Mapping, Sequence
+
+DEFAULT_MAX_ELEMENTS = 100_000
+
+
+class SearchSpaceError(ValueError):
+    """The configured element bound would be exceeded."""
 
 
 class PosetError(ValueError):
@@ -31,6 +39,8 @@ class RankedPoset:
 
     Construction validates that covers are acyclic and raise rank by exactly
     one; the partial order is the reflexive-transitive closure of the covers.
+    A poset stores its down-set rows and upper-cover lists; the up-set rows and
+    the sorted cover pairs are derived from them when first read.
     """
 
     def __init__(self, ranked_labels: Mapping[str, int], covers: Iterable[tuple[str, str]],
@@ -66,14 +76,13 @@ class RankedPoset:
 
     def _close(self, cover_pairs: Iterable[tuple[int, int]],
                down: Sequence[int] | None = None) -> None:
-        """Store the covers, index pairs that must raise rank by one, their closure
-        (given down-sets are kept once checked) and the minimal and maximal masks."""
-        self.cover_pairs: tuple[tuple[int, int], ...] = tuple(sorted(cover_pairs))
-
+        """Check the covers, index pairs that must raise rank by one, and store each
+        element's upper covers in increasing order, their closure (given down-sets
+        are kept once checked) and the minimal and maximal masks."""
         n, labels, ranks = len(self.labels), self.labels, self.ranks
         up_adj = [[] for _ in range(n)]
         down_adj = [[] for _ in range(n)]
-        for i, j in self.cover_pairs:
+        for i, j in sorted(cover_pairs):  # so each up_adj[i] is sorted
             if ranks[j] != ranks[i] + 1:
                 raise PosetError(f"cover {labels[i]!r} -> {labels[j]!r} must raise rank by 1 "
                                  f"(got {ranks[i]} -> {ranks[j]})")
@@ -84,9 +93,8 @@ class RankedPoset:
 
         # Reflexive-transitive closure as bitmasks, filled in rank order.  Given
         # down-sets are the closure iff each is its bit joined with its covers'.
-        order = sorted(range(n), key=ranks.__getitem__)
         closed = [0] * n if down is None else list(down)
-        for j in order:
+        for j in sorted(range(n), key=ranks.__getitem__):
             m = 1 << j
             for i in down_adj[j]:
                 m |= closed[i]
@@ -95,14 +103,24 @@ class RankedPoset:
             elif m != closed[j]:
                 raise PosetError(f"order is not the closure of rank-adjacent covers below "
                                  f"{labels[j]!r} (a relation skips a rank, or is not transitive)")
-        up = [0] * n
-        for i in reversed(order):
+        self._upper = up_adj
+        self._down = closed
+
+    @cached_property
+    def cover_pairs(self) -> tuple[tuple[int, int], ...]:
+        """The covers as index pairs (i, j), i below j, in sorted order."""
+        return tuple((i, j) for i, up in enumerate(self._upper) for j in up)
+
+    @cached_property
+    def _up(self) -> list[int]:
+        """Up-set masks, filled from the covers in reverse rank order."""
+        up = [0] * len(self.labels)
+        for i in sorted(range(len(up)), key=self.ranks.__getitem__, reverse=True):
             m = 1 << i
-            for j in up_adj[i]:
+            for j in self._upper[i]:
                 m |= up[j]
             up[i] = m
-        self._up = up
-        self._down = closed
+        return up
 
     # --- constructors ---
 
@@ -222,7 +240,8 @@ class RankedPoset:
         by one and intervals are convex, so the poset is graded by
         construction whenever it validated; re-derived here for reporting.
         """
-        return all(self.ranks[j] == self.ranks[i] + 1 for i, j in self.cover_pairs)
+        ranks = self.ranks
+        return all(ranks[j] == ranks[i] + 1 for i, up in enumerate(self._upper) for j in up)
 
     def verify_eulerian(self) -> "EulerianReport":
         """Check balance of every nontrivial interval [x, y], x < y."""
@@ -449,7 +468,8 @@ def fiber_product(posets: Sequence[RankedPoset], base: RankedPoset,
     its own.  Construction fails if those down-sets are not the closure of
     their rank-one covers, as when two comparable tuples share a rank.  A
     tuple's label joins its coordinates' labels with commas; two tuples that
-    get one label raise PosetError.
+    get one label raise PosetError.  Above DEFAULT_MAX_ELEMENTS tuples,
+    counted from the fiber sizes before any is built, it raises SearchSpaceError.
     """
     if not posets or len(posets) != len(maps):
         raise PosetError("need k >= 1 posets with one map each")
@@ -463,16 +483,21 @@ def fiber_product(posets: Sequence[RankedPoset], base: RankedPoset,
                 raise PosetError(f"map image {f[x]!r} not in base")
             d.setdefault(f[x], []).append(i)
         by_image.append(d)
-        for i, j in P.cover_pairs:
-            if not base.leq(f[P.labels[i]], f[P.labels[j]]):
+        for i, up in enumerate(P._upper):
+            if not all(base.leq(f[P.labels[i]], f[P.labels[j]]) for j in up):
                 raise PosetError("map is not order-preserving")
     k = len(posets)
     if k == 1:
         return posets[0]
 
+    common = sorted(set.intersection(*(set(d) for d in by_image)))
+    size = sum(prod(len(d[t]) for d in by_image) for t in common)
+    if size > DEFAULT_MAX_ELEMENTS:
+        raise SearchSpaceError(f"fiber product of {k} posets has {size} tuples, "
+                               f"above the bound {DEFAULT_MAX_ELEMENTS}")
     ranked: dict[str, int] = {}
     tuples: dict[str, tuple[int, ...]] = {}
-    for t in sorted(set.intersection(*(set(d) for d in by_image))):
+    for t in common:
         for tup in itertools.product(*(d[t] for d in by_image)):
             lab = "(" + ",".join(P.labels[x] for P, x in zip(posets, tup)) + ")"
             if lab in ranked:

@@ -11,13 +11,7 @@ from dataclasses import dataclass
 from functools import cache
 from math import comb
 
-from .poset import RankedPoset
-
-DEFAULT_MAX_ELEMENTS = 100_000
-
-
-class SearchSpaceError(ValueError):
-    """The configured element bound would be exceeded."""
+from .poset import DEFAULT_MAX_ELEMENTS, RankedPoset, SearchSpaceError
 
 
 @dataclass(frozen=True)

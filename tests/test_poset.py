@@ -1,14 +1,17 @@
 import copy
 import itertools
+import random
 import re
+import time
 from collections import Counter
 
 import pytest
 
+from assoc2 import trees, twoassoc
 from assoc2.audit import (_all_middle_posets, audit_fiber_products, bounded_graded_family,
                           desk_nvectors)
 from assoc2.poset import (CdPolynomial, FlagVector, NonEulerianError, PosetError,
-                          RankedPoset, ab_index, cd_index, fiber_product,
+                          RankedPoset, SearchSpaceError, ab_index, cd_index, fiber_product,
                           _bits, flag_f_vector, flag_h_vector, reduced_product)
 from assoc2.trees import all_bracketings, bracketing_to_tree, enumerate_Kr, tree_to_text
 from assoc2.twoassoc import enumerate_Wn
@@ -509,6 +512,18 @@ def test_fiber_product_rejects_two_tuples_with_one_label():
         fiber_product([P, Q], point, [dict.fromkeys(P.labels, "*"), dict.fromkeys(Q.labels, "*")])
 
 
+def test_fiber_product_refuses_by_tuple_count_before_building():
+    # 118,545 tuples, whose down-set rows alone would take about 1.7 GB
+    posets = [enumerate_Wn(m) for m in [(0, 0, 3), (0, 2, 1), (0, 2, 1)]]
+    K3 = enumerate_Kr(3)
+    start = time.perf_counter()
+    with pytest.raises(SearchSpaceError, match="^fiber product of 3 posets has 118545 tuples, "
+                                               "above the bound 100000$"):
+        fiber_product(posets, K3, [W.meta["pi"] for W in posets])
+    assert time.perf_counter() - start < 1
+    assert trees.SearchSpaceError is twoassoc.SearchSpaceError is SearchSpaceError
+
+
 def _fiber_tuples(posets, base, maps):
     """fiber_product's elements as it built them: label -> rank, label -> label tuple."""
     ranked, tuples = {}, {}
@@ -678,6 +693,7 @@ def test_flag_h_vector_matches_inclusion_exclusion():
 def test_sweeps_leave_the_poset_unchanged():
     P = enumerate_Wn((2, 1))
     for Q in (P, P.complete_with_min("F^min")):
+        Q._up, Q.cover_pairs  # derived on first read: fill them before the snapshot
         before = copy.deepcopy(vars(Q))
         Q.mobius(Q.minimal_elements()[0], Q.unique_max())
         Q.mobius_failures()
@@ -686,6 +702,108 @@ def test_sweeps_leave_the_poset_unchanged():
         if Q is not P:
             flag_f_vector(Q)
         assert vars(Q) == before
+
+
+def _eager_close(labels, ranks, cover_pairs, down=None):
+    """RankedPoset._close as it was when it built every row at construction:
+    the sorted cover pairs, the up- and down-set rows and the minimal and
+    maximal masks.  Its checks are left out; it only runs where _close passed."""
+    cover_pairs = tuple(sorted(cover_pairs))
+    n = len(labels)
+    up_adj = [[] for _ in range(n)]
+    down_adj = [[] for _ in range(n)]
+    for i, j in cover_pairs:
+        up_adj[i].append(j)
+        down_adj[j].append(i)
+    minimal = sum(1 << i for i in range(n) if not down_adj[i])
+    maximal = sum(1 << i for i in range(n) if not up_adj[i])
+    order = sorted(range(n), key=ranks.__getitem__)
+    closed = [0] * n if down is None else list(down)
+    if down is None:
+        for j in order:
+            m = 1 << j
+            for i in down_adj[j]:
+                m |= closed[i]
+            closed[j] = m
+    up = [0] * n
+    for i in reversed(order):
+        m = 1 << i
+        for j in up_adj[i]:
+            m |= up[j]
+        up[i] = m
+    return cover_pairs, up, closed, minimal, maximal
+
+
+@pytest.fixture
+def eager_checked(monkeypatch):
+    """Check each poset built in the test against _eager_close on the covers and
+    down-sets its _close was given; yields the sizes of the posets checked.
+    The W_n memo starts empty, so every W_n is built and checked afresh."""
+    close, sizes = RankedPoset._close, []
+
+    def checked_close(self, cover_pairs, down=None):
+        cover_pairs = list(cover_pairs)
+        close(self, cover_pairs, down)
+        assert "_up" not in vars(self) and "cover_pairs" not in vars(self)
+        got = (self.cover_pairs, self._up, self._down, self._minimal, self._maximal)
+        assert got == _eager_close(self.labels, self.ranks, cover_pairs, down), self.labels[:4]
+        sizes.append(len(self))
+    monkeypatch.setattr(RankedPoset, "_close", checked_close)
+    monkeypatch.setattr(twoassoc, "_ENUM_CACHE", {})
+    return sizes
+
+
+def test_graded_family_derives_what_the_eager_closure_stored(eager_checked):
+    assert len(bounded_graded_family(6)) == len(eager_checked) == 129
+
+
+def test_desk_Wn_and_completions_derive_what_the_eager_closure_stored(eager_checked):
+    for n in desk_nvectors():
+        enumerate_Wn(n).complete_with_min("F^min")
+    assert len(eager_checked) == 2 * 59
+
+
+def test_Kr_derive_what_the_eager_closure_stored(eager_checked):
+    assert [len(enumerate_Kr(r)) for r in range(1, 7)] == eager_checked
+
+
+def test_desk_fiber_products_derive_what_the_eager_closure_stored(eager_checked):
+    # audit_fiber_products' family; a one-factor product is its factor, not built again
+    n_products = 0
+    for r in (1, 2):
+        K = enumerate_Kr(r)
+        vecs = [n for n in itertools.product(range(4), repeat=r) if any(n) and sum(n) <= 3]
+        for k in (1, 2, 3):
+            for ms in itertools.combinations_with_replacement(vecs, k):
+                posets = [enumerate_Wn(m) for m in ms]
+                built = len(eager_checked)
+                fiber_product(posets, K, [W.meta["pi"] for W in posets])
+                assert len(eager_checked) == built + (k > 1)
+                n_products += 1
+    assert n_products == 238 and max(eager_checked) == 4913
+
+
+def test_reduced_products_derive_what_the_eager_closure_stored(eager_checked):
+    family = bounded_graded_family(6)
+    pairs = random.Random(19).sample([(P, Q) for P in family for Q in family], 300)
+    built = len(eager_checked)
+    for P, Q in pairs:
+        reduced_product(P, Q)
+    assert len(eager_checked) == built + 300
+
+
+def test_built_posets_derive_up_rows_and_covers_only_when_read(monkeypatch):
+    # the reason a poset keeps one row set: most are never swept or exported
+    monkeypatch.setattr(twoassoc, "_ENUM_CACHE", {})
+    W = enumerate_Wn((2, 1))
+    FP = fiber_product([W, W], enumerate_Kr(2), [W.meta["pi"]] * 2)
+    completed = W.complete_with_min("F^min")
+    for P in (W, FP, completed):  # W after serving as a factor and being completed
+        assert "_up" not in vars(P) and "cover_pairs" not in vars(P)
+    assert completed.verify_eulerian().is_eulerian
+    assert "_up" in vars(completed) and "cover_pairs" not in vars(completed)
+    completed.to_json()
+    assert "cover_pairs" in vars(completed)
 
 
 def test_signed_counts_are_int_below_rank_zero():

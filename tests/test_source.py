@@ -17,7 +17,7 @@ def test_no_assert_statements_in_the_package():
 
 def test_only_poset_reads_the_private_rows_of_a_ranked_poset():
     # the order, its covers and its closure check live in poset.py alone
-    private = {"_up", "_down", "_minimal", "_maximal", "_index", "_rank_masks", "_even", "_odd"}
+    private = {"_up", "_upper", "_down", "_minimal", "_maximal", "_index", "_rank_masks", "_even", "_odd"}
     modules = [path for path in sorted(Path(assoc2.__file__).parent.glob("*.py"))
                if path.name != "poset.py"]
     assert modules
