@@ -381,7 +381,7 @@ def validate_two_bracketing(tb: TwoBracketing) -> bool:
     range) raises; anything well-formed evaluates to True or False.  Each
     2-bracket is interned once into the face's id mask in the table of n,
     built whole on first use, and _valid_face decides V1-V6 on that mask,
-    as it does for every enumerated face.
+    as it does for every enumerated face, with a fresh memo of its own.
     """
     n = check_nvector(tb.n)
     table = _table(n)
@@ -391,24 +391,30 @@ def validate_two_bracketing(tb: TwoBracketing) -> bool:
     for lo, hi in tb.brackets:
         if not (1 <= lo <= hi <= len(n)):
             raise ValueError(f"bracket ({lo},{hi}) out of range")
-    return _valid_face(table, tb.brackets, face)
+    return _valid_face(table, tb.brackets, face, {})
 
 
 def _valid_face(table: _TwoBracketTable, brackets: frozenset[tuple[int, int]],
-                face: int) -> bool:
+                face: int, memo: dict) -> bool:
     """V1-V6 for the 2-brackets with table id mask `face` over the stored `brackets`.
 
     The brackets must lie within 1..r; every relation is read from the rows
-    of the table, and no 2-bracket object is touched.
+    of the table, and no 2-bracket object is touched.  What depends on less
+    than the whole face is decided once per `memo`, which serves one table
+    and lives as long as its caller keeps it (one enumeration): keyed by
+    `brackets`, the bracketing's frame (_bracketing_frame); by a containers
+    mask, its innermost member; by (node, children mask, brackets), the
+    node's verdict (_node_ok).  The keys are a frozenset, an int and a
+    tuple, so they never collide.  V3, the V2 AND, V4 and the chain test
+    read the whole face and are decided per face.
     """
-    n, on_bracket = table.n, table.on_bracket
-    r = len(n)
-
+    if brackets not in memo:
+        memo[brackets] = _bracketing_frame(table, brackets)
+    frame = memo[brackets]
     # (V1) the bracket family is a bracketing
-    try:
-        Bracketing(r, brackets)
-    except ValueError:
+    if frame is None:
         return False
+    allowed, needed = frame
 
     # (V3) forced members present; every 2-bracket encloses a point
     if table.forced & ~face or face & table.pointless:
@@ -416,11 +422,6 @@ def _valid_face(table: _TwoBracketTable, brackets: frozenset[tuple[int, int]],
 
     # (V2) projections land in the bracketing; implied by the parse, as the root
     # lies on (1, r) and each child on its parent's bracket or on one of its branches
-    allowed = 0
-    for b in brackets:
-        allowed |= on_bracket[b]
-    for i in range(1, r + 1):
-        allowed |= on_bracket[i, i]
     if face & ~allowed:
         return False
 
@@ -431,56 +432,86 @@ def _valid_face(table: _TwoBracketTable, brackets: frozenset[tuple[int, int]],
         return False
 
     # (V5)/(V6) the containment forest parses into stack and split nodes
-    inside, size = table.inside, table.size
+    inside, size, root = table.inside, table.size, table.root
     children = dict.fromkeys(elems, 0)
     for x in elems:
-        if x == table.root:
+        if x == root:
             continue
         containers = inside[x] & face
         if not containers:
             return False
-        parent = min(_bits(containers), key=size.__getitem__)
+        parent = memo.get(containers)
+        if parent is None:
+            # size grows strictly along inside, so a chain has one innermost member
+            parent = memo[containers] = min(_bits(containers), key=size.__getitem__)
         if inside[parent] & face != containers ^ 1 << parent:
+            # implied by V4: the containers share x's points, so each two are nested
             return False  # containers must form a chain
         children[parent] |= 1 << x
 
     # implied by the parse: a point's containers step down the bracket tree from (1, r)
-    for lo, hi in brackets:
-        if any(n[lo - 1:hi]) and not face & on_bracket[lo, hi]:
-            return False  # a bracket with points needs a 2-bracket over it
+    if not all(face & on for on in needed):
+        return False  # a bracket with points needs a 2-bracket over it
 
-    bracket, points = table.bracket, table.points
-    for node in elems:
-        ch = children[node]
-        if not ch:
-            if size[node][0] > 1:
-                return False  # implied: its points' singletons would be children
-            continue
-        same = ch & on_bracket[bracket[node]]
-        if same:
-            # stack node: >= 2 screens over the same bracket splitting the points
-            # (>= 2 is implied by _stack_ok: a lone screen with all the points is the node)
-            if same != ch or ch.bit_count() < 2:
-                return False
-            if not _stack_ok(table, list(_bits(ch)), node):
-                return False
-        else:
-            # split node: children sit exactly on the bracket-tree branches
-            branches = _bracket_children(brackets, bracket[node])
-            groups = [ch & on_bracket[b] for b in branches]
-            if ch != sum(groups):  # disjoint groups: the sum is the union
-                return False
-            covered = 0
-            for x in _bits(ch):
-                covered |= points[x]
-            if covered != points[node]:
-                return False  # implied: each point's singleton lies inside a child
-            # implied by V4: unnested siblings over one branch are pairwise oriented,
-            # and orientation over one bracket is transitive
-            for group in groups:
-                if group.bit_count() > 1 and not _stack_ordered(table, list(_bits(group))):
-                    return False
-    return True
+    return all(_node_ok(table, memo, brackets, node, ch) for node, ch in children.items())
+
+
+def _bracketing_frame(table: _TwoBracketTable, brackets: frozenset[tuple[int, int]]):
+    """None unless `brackets` is a bracketing of the r lines (V1); else (allowed, needed).
+
+    allowed is the union of on_bracket over the bracketing and the single
+    lines (V2 allows nothing else); needed holds on_bracket of each bracket
+    with points, each of which a face must meet.
+    """
+    n, on_bracket = table.n, table.on_bracket
+    r = len(n)
+    try:
+        Bracketing(r, brackets)
+    except ValueError:
+        return None
+    allowed = 0
+    for b in brackets:
+        allowed |= on_bracket[b]
+    for i in range(1, r + 1):
+        allowed |= on_bracket[i, i]
+    needed = tuple(on_bracket[lo, hi] for lo, hi in brackets if any(n[lo - 1:hi]))
+    return allowed, needed
+
+
+def _node_ok(table: _TwoBracketTable, memo: dict, brackets: frozenset[tuple[int, int]],
+             node: int, ch: int) -> bool:
+    """_decide_node, once per (node, ch, brackets) and memo."""
+    key = (node, ch, brackets)
+    ok = memo.get(key)
+    if ok is None:
+        ok = memo[key] = _decide_node(table, brackets, node, ch)
+    return ok
+
+
+def _decide_node(table: _TwoBracketTable, brackets: frozenset[tuple[int, int]],
+                 node: int, ch: int) -> bool:
+    """Whether `node` with the children mask `ch` is a leaf, stack or split node."""
+    on_bracket, bracket, points = table.on_bracket, table.bracket, table.points
+    if not ch:
+        return table.size[node][0] <= 1  # implied: its points' singletons would be children
+    same = ch & on_bracket[bracket[node]]
+    if same:
+        # stack node: >= 2 screens over the same bracket splitting the points
+        # (>= 2 is implied by _stack_ok: a lone screen with all the points is the node)
+        return same == ch and ch.bit_count() >= 2 and _stack_ok(table, list(_bits(ch)), node)
+    # split node: children sit exactly on the bracket-tree branches
+    groups = [ch & on_bracket[b] for b in _bracket_children(brackets, bracket[node])]
+    if ch != sum(groups):  # disjoint groups: the sum is the union
+        return False
+    covered = 0
+    for x in _bits(ch):
+        covered |= points[x]
+    if covered != points[node]:
+        return False  # implied: each point's singleton lies inside a child
+    # implied by V4: unnested siblings over one branch are pairwise oriented,
+    # and orientation over one bracket is transitive
+    return all(group.bit_count() <= 1 or _stack_ordered(table, list(_bits(group)))
+               for group in groups)
 
 
 def _stack_ordered(table: _TwoBracketTable, group: list[int]) -> bool:
@@ -668,6 +699,9 @@ def enumerate_Wn(n, max_elements: int = DEFAULT_MAX_ELEMENTS) -> RankedPoset:
     generated 2-bracket is interned once into the face's id mask in the
     relation table of n; _valid_face re-decides V1-V6 on that mask, and the
     same mask builds the label (the ids follow label order) and the order.
+    One validation memo serves the call and is dropped on return: faces
+    share their screens, so each bracketing frame, innermost container and
+    node verdict is decided once per enumeration, never once per face.
     No TwoBracketing is built; face_two_bracketings yields them on demand.
     A face's poset mask has one fixed bit per bracket and, above those, the
     table id bit of each of its 2-brackets.
@@ -710,6 +744,7 @@ def enumerate_Wn(n, max_elements: int = DEFAULT_MAX_ELEMENTS) -> RankedPoset:
     masks: dict[str, int] = {}
     table = _table(n)
     intern = table.intern
+    memo: dict = {}  # this enumeration's validation steps, see _valid_face
     for kb in bracketings:
         tree = bracketing_to_tree(kb)
         pi = _tree_text(kb)
@@ -719,7 +754,7 @@ def enumerate_Wn(n, max_elements: int = DEFAULT_MAX_ELEMENTS) -> RankedPoset:
             for x in fs:
                 face |= 1 << intern(x)
             lab = _face_label(table, pi, face)
-            if not _valid_face(table, kb.brackets, face):
+            if not _valid_face(table, kb.brackets, face, memo):
                 raise VerificationError(f"enumerated face fails validation: {lab}")
             if lab in ranked:
                 raise VerificationError(f"duplicate face across fibers: {lab}")

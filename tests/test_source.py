@@ -1,7 +1,10 @@
 import ast
+import copy
 from pathlib import Path
 
 import assoc2
+from assoc2 import twoassoc
+from assoc2.twoassoc import _table, enumerate_Wn, top_element, validate_two_bracketing
 
 
 def test_no_assert_statements_in_the_package():
@@ -58,8 +61,9 @@ def test_enumeration_and_count_oracles_share_no_code():
 def test_validation_shares_no_code_with_the_generator_or_the_recurrence():
     # re-validation must stay independent of the generator whose faces it re-checks
     used = _names_used(Path(assoc2.__file__).parent / "twoassoc.py")
-    checked = {"validate_two_bracketing", "_valid_face", "_TwoBracketTable", "_table",
-               "_stack_ordered", "_stack_ok", "_face_label", "_tree_text"}
+    checked = {"validate_two_bracketing", "_valid_face", "_bracketing_frame", "_node_ok",
+               "_decide_node", "_TwoBracketTable", "_table", "_stack_ordered", "_stack_ok",
+               "_face_label", "_tree_text"}
     generator = {"_gen_fiber", "_screen_stacks", "dim_2concat", "_stacks",
                  "_fiber_poly", "count_W"}
     assert checked | generator <= set(used)
@@ -70,12 +74,28 @@ def test_validation_shares_no_code_with_the_generator_or_the_recurrence():
 def test_the_generator_shares_no_code_with_validation_or_the_recurrence():
     # the converse: the faces are generated without reading what re-validates them
     used = _names_used(Path(assoc2.__file__).parent / "twoassoc.py")
-    checker = {"_table", "_TwoBracketTable", "_valid_face", "validate_two_bracketing",
-               "_face_label", "_stacks", "_fiber_poly", "_splits", "_convolve", "count_W"}
+    checker = {"_table", "_TwoBracketTable", "_valid_face", "_bracketing_frame", "_node_ok",
+               "_decide_node", "validate_two_bracketing", "_face_label", "_stacks",
+               "_fiber_poly", "_splits", "_convolve", "count_W"}
     assert checker <= set(used)
     for name in ("_gen_fiber", "_screen_stacks"):
         reached = _reached(used, name)
         assert "_gen_fiber" in reached and reached & checker == set(), name
+
+
+def test_enumeration_leaves_no_validation_state_behind(monkeypatch):
+    # the validation memo lives for one enumerate_Wn or validate_two_bracketing call:
+    # the table gains and changes no field, and no helper keeps a process-wide cache
+    n = (2, 1)
+    table = _table(n)
+    before = copy.deepcopy(vars(table))
+    monkeypatch.setattr(twoassoc, "_ENUM_CACHE", {})
+    enumerate_Wn(n)
+    assert validate_two_bracketing(top_element(n))
+    assert vars(table) == before
+    for name in ("validate_two_bracketing", "_valid_face", "_bracketing_frame", "_node_ok",
+                 "_decide_node", "_stack_ok", "_stack_ordered"):
+        assert not hasattr(getattr(twoassoc, name), "__wrapped__"), name
 
 
 def _reached(used: dict[str, set[str]], name: str) -> set[str]:

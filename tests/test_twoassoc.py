@@ -15,10 +15,10 @@ from assoc2.trees import (Tree, all_bracketings, bracketing_to_tree, corolla, co
                           dim_tree, parse_tree, root_decompose, tree_to_text)
 from assoc2.series import coefficient, solve_F
 from assoc2 import twoassoc
-from assoc2.poset import PosetError, RankedPoset
+from assoc2.poset import PosetError, RankedPoset, _bits
 from assoc2.twoassoc import (SearchSpaceError, TwoBracket, TwoBracketing, VerificationError,
                              _TwoBracketTable, _bracket_children, _fiber_poly, _gen_fiber,
-                             _stack_ordered, _stacks, _table, _tb_oriented, _valid_face,
+                             _node_ok, _stack_ordered, _stacks, _table, _tb_oriented, _valid_face,
                              check_nvector, count_W, dim_2concat, enumerate_Wn,
                              face_two_bracketings, forced_two_brackets, forgetful_map,
                              max_two_bracket, point_singleton, removables, restrict_to_bracket,
@@ -562,10 +562,16 @@ def test_table_validation_matches_the_object_predicate(n, monkeypatch):
     assert all(expected[:len(faces)]) and not all(expected[len(faces):])
     monkeypatch.setattr(twoassoc, "_TABLES", {})
     assert [validate_two_bracketing(tb) for tb in cands] == expected
-    # the mask core alone, on each candidate's id mask, as enumerate_Wn calls it
+    # the mask core alone, on each candidate's id mask, as enumerate_Wn calls it: one
+    # memo shared by every candidate, filled forwards, then a fresh one filled in reverse
     table = _table(n)
-    assert [_valid_face(table, tb.brackets, sum(1 << table.intern(x) for x in tb.two_brackets))
-            for tb in cands] == expected
+    masks = [sum(1 << table.intern(x) for x in tb.two_brackets) for tb in cands]
+    memo = {}
+    assert [_valid_face(table, tb.brackets, mask, memo)
+            for tb, mask in zip(cands, masks)] == expected
+    memo = {}
+    assert [_valid_face(table, tb.brackets, mask, memo)
+            for tb, mask in zip(cands[::-1], masks[::-1])] == expected[::-1]
     ids = table.ids
     assert list(ids) == sorted(ids, key=TwoBracket.sort_key)
     assert list(ids.values()) == list(range(len(ids)))
@@ -573,6 +579,36 @@ def test_table_validation_matches_the_object_predicate(n, monkeypatch):
     monkeypatch.setattr(twoassoc, "_TABLES", {})
     assert [validate_two_bracketing(tb) for tb in reversed(cands)] == expected[::-1]
     assert _table(n).ids == ids
+
+
+def test_a_node_verdict_is_memoized_per_bracketing():
+    # the root over one point per line, with children on (1,2), (3,3) and (4,4), splits
+    # along the branches of (1,4) in {(1,4),(1,2)} but not in {(1,4),(1,3),(1,2)}
+    table = _table((1, 1, 1, 1))
+    pair = TwoBracket(1, 2, (("p", 1, 1), ("p", 1, 1)))
+    ch = sum(1 << table.intern(x) for x in (pair, point_singleton(3, 1), point_singleton(4, 1)))
+    split = frozenset({(1, 4), (1, 2)})
+    nested = frozenset({(1, 4), (1, 3), (1, 2)})
+    for order in ((split, nested), (nested, split)):
+        memo = {}
+        assert [_node_ok(table, memo, b, table.root, ch) for b in order] == \
+            [b == split for b in order]
+
+
+def test_size_grows_strictly_along_inside():
+    # _valid_face takes a chain's innermost container as its smallest member by size,
+    # once per containers mask; that needs size to grow strictly from each 2-bracket
+    # to every 2-bracket containing it
+    pairs, violations = 0, []
+    for n in desk_nvectors() + [(3, 0, 2), (3, 3), (9,)]:
+        table = _table(n)
+        for x, row in enumerate(table.inside):
+            for y in _bits(row):
+                pairs += 1
+                if not table.size[x] < table.size[y]:
+                    violations.append((n, table.text[x], table.text[y]))
+    assert violations == []
+    assert pairs == 11486
 
 
 def _object_label(tb):
