@@ -196,10 +196,10 @@ def bounded_graded_family(max_elements: int = 6, min_rank: int = -1) -> list[ps.
     return out
 
 
-def audit_reduced_products(max_elements: int = 6) -> AuditReport:
+def audit_reduced_products() -> AuditReport:
     """Balanced factors give balanced reduced products; the closed form holds."""
     rep = AuditReport()
-    family = bounded_graded_family(max_elements)
+    family = bounded_graded_family(6)
     n_pairs = bad_closed = bad_balance = 0
     signed = []
     for P in family:

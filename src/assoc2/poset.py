@@ -230,9 +230,6 @@ class RankedPoset:
     def _signed(self, mask: int) -> int:
         return (mask & self._even).bit_count() - (mask & self._odd).bit_count()
 
-    def is_balanced(self, x: str, y: str) -> bool:
-        return self.alternating_sum(x, y) == 0
-
     def is_graded(self) -> bool:
         """All maximal chains in every interval share one length.
 
@@ -273,29 +270,30 @@ class RankedPoset:
     def mobius_failures(self) -> list[tuple[str, str, int]]:
         """Pairs x <= y with mu(x, y) != (-1)^(rank y - rank x), and their mu."""
         bad = []
-        for i in range(len(self.labels)):
+        for i, ri in enumerate(self.ranks):
             row = self._mobius_row(i, self._up[i])
-            for j in _bits(self._up[i]):
-                mu = row[j]
-                if mu != (-1) ** (self.ranks[j] - self.ranks[i]):
-                    bad.append((self.labels[i], self.labels[j], mu))
+            # the classes and the rank masks are disjoint, so the sum is a union
+            wrong = sum(m & rm for mu, m in row.items() for r, rm in self._rank_masks
+                        if mu != (-1) ** ((r - ri) % 2))
+            for j in _bits(wrong):
+                bad.append((self.labels[i], self.labels[j], _grouped_sum(1 << j, row)))
         return bad
 
     def mobius(self, x: str, y: str) -> int:
         """Moebius value mu(x, y) by the recursion over the interval [x, y]."""
         i, j = self._index[x], self._index[y]
-        return self._mobius_row(i, self._interval_mask(i, j))[j]
+        return _grouped_sum(1 << j, self._mobius_row(i, self._interval_mask(i, j)))
 
     def _mobius_row(self, i: int, mask: int) -> dict[int, int]:
-        """mu(i, t) for every t in mask, a down-closed part of i's up-set."""
-        row = {i: 1}
+        """mu(i, t) for every t in mask, a down-closed part of i's up-set, as value
+        classes: each value maps to the mask of the elements that take it.  Filled
+        in rank order, as t's down-set holds no other element of t's rank."""
+        row = {1: 1 << i}
         rest = mask & ~(1 << i)
         for _, rm in self._rank_masks:
             for t in _bits(rest & rm):
-                s = 0
-                for z in _bits(mask & self._down[t] & ~(1 << t)):
-                    s += row[z]
-                row[t] = -s
+                mu = -_grouped_sum(self._down[t], row)
+                row[mu] = row.get(mu, 0) | 1 << t
         return row
 
     # --- structural operations ---
@@ -405,6 +403,11 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _grouped_sum(mask: int, classes: Mapping[int, int]) -> int:
+    """The sum over mask's elements of their values, given as value -> elements mask."""
+    return sum(v * (mask & m).bit_count() for v, m in classes.items())
 
 
 def _dot_escape(s: str) -> str:
@@ -598,25 +601,23 @@ def _bounded_graded_data(P: RankedPoset) -> tuple[str, str, int, dict[int, list[
 def flag_f_vector(P: RankedPoset) -> FlagVector:
     """Flag f-vector over proper rank subsets of a bounded graded poset.
 
-    Rank sets are walked depth-first; each extends its prefix's chain counts.
+    Rank sets are walked depth-first; each carries its chains as count classes,
+    each chain count mapped to the mask of the chain tops with that count.
     """
     bot, top, span, layers = _bounded_graded_data(P)
     entries: dict[frozenset, int] = {}
 
-    def walk(S: tuple[int, ...], counts: dict[int, int], lo: int) -> None:
-        entries[frozenset(S)] = sum(counts.values())
-        support = sum(1 << i for i in counts)
+    def walk(S: tuple[int, ...], chains: dict[int, int], lo: int) -> None:
+        entries[frozenset(S)] = _grouped_sum(P._down[P.index(top)], chains)
         for r in range(lo, span):
-            nxt = {}
+            nxt: dict[int, int] = {}
             for j in layers[r]:
-                tot = 0
-                for i in _bits(P._down[j] & support):
-                    tot += counts[i]
-                if tot:
-                    nxt[j] = tot
+                count = _grouped_sum(P._down[j], chains)
+                if count:
+                    nxt[count] = nxt.get(count, 0) | 1 << j
             walk(S + (r,), nxt, r + 1)
 
-    walk((), {P.index(bot): 1}, 1)
+    walk((), {1: 1 << P.index(bot)}, 1)
     return FlagVector(rank_span=span, entries=entries)
 
 

@@ -180,17 +180,14 @@ class TruncatedSeries:
     def constant_term(self) -> LaurentPoly:
         return self.terms.get((0,) * self.var_count, LP_ZERO)
 
-    def embed(self, var_count: int, offset: int, max_degree: int | None = None) -> "TruncatedSeries":
+    def embed(self, var_count: int, offset: int) -> "TruncatedSeries":
         """Reinterpret in a wider variable set, own vars at block `offset`."""
-        D = self.max_degree if max_degree is None else max_degree
         out = {}
         for n, p in self.terms.items():
-            if sum(n) > D:
-                continue
             m = [0] * var_count
             m[offset:offset + len(n)] = n
             out[tuple(m)] = p
-        return TruncatedSeries(var_count, D, out)
+        return TruncatedSeries(var_count, self.max_degree, out)
 
     def to_json_dict(self) -> dict:
         rows = []

@@ -95,9 +95,6 @@ class TwoBracket:
                 out += [(line, j) for j in range(e[1], e[2] + 1)]
         return frozenset(out)
 
-    def has_points(self) -> bool:
-        return any(e[0] == "p" for e in self.extents)
-
     def sort_key(self):
         return (self.lo, self.hi,
                 tuple((0, e[1], e[1]) if e[0] == "g" else (1, e[1], e[2])

@@ -126,7 +126,7 @@ def test_criterion_7_fiber_products(capsys):
 
 
 def test_criterion_8_reduced_products(capsys):
-    rep = audit_reduced_products(max_elements=6)
+    rep = audit_reduced_products()
     ok = rep.passed
     pairs = rep.checks[0]["params"]["pairs"]
     with capsys.disabled():

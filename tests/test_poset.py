@@ -12,7 +12,8 @@ from assoc2.audit import (_all_middle_posets, audit_fiber_products, bounded_grad
                           desk_nvectors)
 from assoc2.poset import (CdPolynomial, FlagVector, NonEulerianError, PosetError,
                           RankedPoset, SearchSpaceError, ab_index, cd_index, fiber_product,
-                          _bits, flag_f_vector, flag_h_vector, reduced_product)
+                          _bits, _bounded_graded_data, flag_f_vector, flag_h_vector,
+                          reduced_product)
 from assoc2.trees import all_bracketings, bracketing_to_tree, enumerate_Kr, tree_to_text
 from assoc2.twoassoc import enumerate_Wn
 
@@ -211,8 +212,6 @@ def test_alternating_sum_single_and_chain():
     assert P.alternating_sum("c0", "c0") == 1
     Q = chain(0, 1)
     assert Q.alternating_sum("c0", "c1") == 0
-    assert Q.is_balanced("c0", "c1")
-    assert not P.is_balanced("c0", "c0")
 
 
 def test_alternating_sum_completed_K4():
@@ -260,7 +259,7 @@ def test_verify_eulerian_W11():
     assert len(P) == 4
     assert P.verify_eulerian().is_eulerian
     # rank-2 interval of a verified Eulerian poset is balanced
-    assert P.is_balanced("F^min", P.unique_max())
+    assert P.alternating_sum("F^min", P.unique_max()) == 0
 
 
 def test_complete_with_min():
@@ -376,6 +375,53 @@ def test_mobius_failures_match_label_level_definition():
     assert any(P.mobius_failures() for P in posets)
     for P in posets:
         assert sorted(P.mobius_failures()) == _label_level_mobius_failures(P)
+
+
+def _per_element_mobius_row(P, i, mask):
+    """_mobius_row as it was: one dict entry per element, summed bit by bit."""
+    row = {i: 1}
+    rest = mask & ~(1 << i)
+    for _, rm in P._rank_masks:
+        for t in _bits(rest & rm):
+            s = 0
+            for z in _bits(mask & P._down[t] & ~(1 << t)):
+                s += row[z]
+            row[t] = -s
+    return row
+
+
+def _per_element_mobius_failures(P):
+    """mobius_failures as it was, over the per-element rows."""
+    bad = []
+    for i in range(len(P)):
+        row = _per_element_mobius_row(P, i, P._up[i])
+        for j in _bits(P._up[i]):
+            mu = row[j]
+            if mu != (-1) ** (P.ranks[j] - P.ranks[i]):
+                bad.append((P.labels[i], P.labels[j], mu))
+    return bad
+
+
+def test_mobius_value_classes_match_the_per_element_rows():
+    posets = bounded_graded_family(6, min_rank=-1) + bounded_graded_family(6, min_rank=-2)
+    assert sum(1 for P in posets if P.mobius_failures()) == 2 * 121
+    assert any(mu not in (-1, 0, 1) for P in posets for _, _, mu in P.mobius_failures())
+    for P in posets:
+        for i in range(len(P)):
+            row = P._mobius_row(i, P._up[i])
+            # the classes partition the up-set, each element under its own value
+            assert sum(m.bit_count() for m in row.values()) == P._up[i].bit_count()
+            assert {j: mu for mu, m in row.items() for j in _bits(m)} \
+                == _per_element_mobius_row(P, i, P._up[i])
+        assert P.mobius_failures() == _per_element_mobius_failures(P)
+        i, j = P.index(P.unique_min()), P.index(P.unique_max())
+        assert P.mobius(P.labels[i], P.labels[j]) == _per_element_mobius_row(P, i, P._up[i])[j]
+
+
+def test_mobius_failures_match_the_per_element_sweep_on_completed_wn():
+    for n in desk_nvectors() + [(3, 0, 2)]:
+        P = enumerate_Wn(n).complete_with_min("F^min")
+        assert P.mobius_failures() == _per_element_mobius_failures(P) == [], n
 
 
 def test_reduced_product_two_chains():
@@ -682,6 +728,34 @@ def _h_by_inclusion_exclusion(fv):
             s += (-1) ** (len(S) - len(T)) * fv.entries[frozenset(T)]
         out[S] = s
     return out
+
+
+def _per_element_flag_f_vector(P):
+    """flag_f_vector as it was: a dict of chain counts per chain top, summed bit by bit."""
+    bot, top, span, layers = _bounded_graded_data(P)
+    entries = {}
+
+    def walk(S, counts, lo):
+        entries[frozenset(S)] = sum(counts.values())
+        support = sum(1 << i for i in counts)
+        for r in range(lo, span):
+            nxt = {}
+            for j in layers[r]:
+                tot = 0
+                for i in _bits(P._down[j] & support):
+                    tot += counts[i]
+                if tot:
+                    nxt[j] = tot
+            walk(S + (r,), nxt, r + 1)
+
+    walk((), {P.index(bot): 1}, 1)
+    return FlagVector(rank_span=span, entries=entries)
+
+
+def test_flag_f_vector_by_count_classes_matches_the_per_element_walk():
+    posets = _flag_test_posets() + [enumerate_Wn((3, 3)).complete_with_min("F^min")]
+    for P in posets:
+        assert flag_f_vector(P) == _per_element_flag_f_vector(P)
 
 
 def test_flag_h_vector_matches_inclusion_exclusion():

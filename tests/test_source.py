@@ -178,3 +178,29 @@ def test_the_series_has_one_solver():
               if isinstance(node, ast.Constant) and "not a fixed point" in str(node.value)]
     assert len(checks) == 1
     assert "_solve_cleared" not in _names_used(path)["solve_f"]
+
+
+def test_the_value_class_kernel_serves_the_moebius_and_flag_sweeps_only():
+    # the Moebius rows and the flag f-vector sum over value classes through one
+    # kernel; the interval and diamond sweeps do not, so each stays separate evidence
+    path = Path(assoc2.__file__).parent / "poset.py"
+    tree = ast.parse(path.read_text(), str(path))
+    poset = next(node for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == "RankedPoset")
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    methods = {node.name: node for node in poset.body if isinstance(node, ast.FunctionDef)}
+    assert not functions.keys() & methods.keys()
+    functions.update(methods)
+    used = {name: {n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(fn) if isinstance(n, (ast.Name, ast.Attribute))}
+            for name, fn in functions.items()}
+    for name in ("mobius_failures", "mobius", "flag_f_vector"):
+        assert "_grouped_sum" in _reached(used, name), name
+    for name in ("_signed", "verify_eulerian", "diamond_failures"):
+        assert "_grouped_sum" not in _reached(used, name) | {name}, name
+    # and the swept rows keep no per-bit loop over a down row
+    for name in ("_mobius_row", "flag_f_vector"):
+        loops = [node.lineno for node in ast.walk(functions[name])
+                 if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_bits"
+                 and any(getattr(n, "attr", None) == "_down" for n in ast.walk(node))]
+        assert loops == [], name

@@ -462,7 +462,7 @@ def _object_validate(tb):
 
     if not forced_two_brackets(n) <= tb.two_brackets:
         return False
-    if not all(x.has_points() for x in tb.two_brackets):
+    if not all(x.points() for x in tb.two_brackets):
         return False
 
     stored = tb.brackets
