@@ -37,8 +37,8 @@ class NonEulerianError(PosetError):
 class RankedPoset:
     """Immutable finite poset with a rank function.
 
-    Construction validates that covers are acyclic and raise rank by exactly
-    one; the partial order is the reflexive-transitive closure of the covers.
+    The order is the reflexive-transitive closure of covers that raise rank by
+    exactly one, given as label pairs or read off down-sets (from_down_sets).
     A poset stores its down-set rows and upper-cover lists; the up-set rows and
     the sorted cover pairs are derived from them when first read.
     """
@@ -46,12 +46,22 @@ class RankedPoset:
     def __init__(self, ranked_labels: Mapping[str, int], covers: Iterable[tuple[str, str]],
                  meta: Mapping[str, object] | None = None):
         self._elements(ranked_labels, meta)
-        index = self._index
+        index, labels, ranks = self._index, self.labels, self.ranks
+        lower = [0] * len(labels)  # lower[j]: the mask of j's lower covers
+        skips = []
         try:
-            pairs = {(index[lo], index[hi]) for lo, hi in covers}
+            for lo, hi in covers:
+                i, j = index[lo], index[hi]
+                if ranks[j] != ranks[i] + 1:
+                    skips.append((i, j))
+                lower[j] |= 1 << i
         except KeyError as exc:
             raise PosetError(f"cover names {exc.args[0]!r}, which is no element") from None
-        self._close(pairs)
+        if skips:
+            i, j = min(skips)
+            raise PosetError(f"cover {labels[i]!r} -> {labels[j]!r} must raise rank by 1 "
+                             f"(got {ranks[i]} -> {ranks[j]})")
+        self._close(lower=lower)
 
     def _elements(self, ranked_labels: Mapping[str, int],
                   meta: Mapping[str, object] | None) -> None:
@@ -74,37 +84,32 @@ class RankedPoset:
         self._even = sum(m for r, m in self._rank_masks if r % 2 == 0)
         self._odd = sum(m for r, m in self._rank_masks if r % 2)
 
-    def _close(self, cover_pairs: Iterable[tuple[int, int]],
-               down: Sequence[int] | None = None) -> None:
-        """Check the covers, index pairs that must raise rank by one, and store each
-        element's upper covers in increasing order, their closure (given down-sets
-        are kept once checked) and the minimal and maximal masks."""
-        n, labels, ranks = len(self.labels), self.labels, self.ranks
-        up_adj = [[] for _ in range(n)]
-        down_adj = [[] for _ in range(n)]
-        for i, j in sorted(cover_pairs):  # so each up_adj[i] is sorted
-            if ranks[j] != ranks[i] + 1:
-                raise PosetError(f"cover {labels[i]!r} -> {labels[j]!r} must raise rank by 1 "
-                                 f"(got {ranks[i]} -> {ranks[j]})")
-            up_adj[i].append(j)
-            down_adj[j].append(i)
-        self._minimal = sum(1 << i for i in range(n) if not down_adj[i])
-        self._maximal = sum(1 << i for i in range(n) if not up_adj[i])
-
-        # Reflexive-transitive closure as bitmasks, filled in rank order.  Given
-        # down-sets are the closure iff each is its bit joined with its covers'.
-        closed = [0] * n if down is None else list(down)
-        for j in sorted(range(n), key=ranks.__getitem__):
-            m = 1 << j
-            for i in down_adj[j]:
-                m |= closed[i]
-            if down is None:
-                closed[j] = m
-            elif m != closed[j]:
-                raise PosetError(f"order is not the closure of rank-adjacent covers below "
-                                 f"{labels[j]!r} (a relation skips a rank, or is not transitive)")
-        self._upper = up_adj
-        self._down = closed
+    def _close(self, down: Sequence[int] | None = None,
+               lower: Sequence[int] | None = None) -> None:
+        """One pass in rank order: element j's covers, the mask lower[j] or else down[j]
+        on the layer one rank lower, get j in their (so increasing) upper lists, and
+        j's bit joined with their rows fills j's row, or must equal the given one."""
+        labels, layers = self.labels, dict(self._rank_masks)
+        upper = [[] for _ in labels]
+        closed = [0] * len(labels) if down is None else list(down)
+        minimal = 0
+        for r, layer in self._rank_masks:
+            below = layers.get(r - 1, 0)
+            for j in _bits(layer):
+                covers = closed[j] & below if lower is None else lower[j]
+                m = 1 << j
+                for i in _bits(covers):
+                    m |= closed[i]
+                    upper[i].append(j)
+                if not covers:
+                    minimal |= 1 << j
+                if down is None:
+                    closed[j] = m
+                elif m != closed[j]:
+                    raise PosetError(f"order is not the closure of rank-adjacent covers below "
+                                     f"{labels[j]!r} (a relation skips a rank, or is not transitive)")
+        self._upper, self._down, self._minimal = upper, closed, minimal
+        self._maximal = sum(1 << i for i, up in enumerate(upper) if not up)
 
     @cached_property
     def cover_pairs(self) -> tuple[tuple[int, int], ...]:
@@ -174,18 +179,15 @@ class RankedPoset:
         """Build from each element's down-set; covers are read off.
 
         down[i] is the mask of the elements at or below element i, itself
-        included, over the sorted labels.  Element i's covers are down[i]
-        restricted to the layer one rank lower.  The closure of those covers
-        must give back every down-set, which the poset keeps, or it is rejected.
+        included, over the sorted labels.  They go straight to _close, whose one
+        rank-order pass reads element i's covers as down[i] on the layer one rank
+        lower: their closure must give back every down-set, which the poset keeps.
         """
         P = cls.__new__(cls)
         P._elements(ranked_labels, meta)
         if len(down) != len(P.labels):
             raise PosetError(f"{len(down)} down-sets for {len(P.labels)} elements")
-        layer = dict(P._rank_masks)
-        ids = list(P._index.values())  # 0..n-1 as _index holds them: covers reuse these ints
-        P._close([(ids[a], i) for i, r in zip(ids, P.ranks)
-                  for a in _bits(down[i] & layer.get(r - 1, 0))], down)
+        P._close(down)
         return P
 
     # --- basic queries ---
@@ -204,10 +206,6 @@ class RankedPoset:
 
     def leq(self, x: str, y: str) -> bool:
         return bool(self._up[self._index[x]] >> self._index[y] & 1)
-
-    def interval(self, x: str, y: str) -> list[str]:
-        m = self._interval_mask(self._index[x], self._index[y])
-        return [self.labels[i] for i in _bits(m)]
 
     def _interval_mask(self, i: int, j: int) -> int:
         if not (self._up[i] >> j) & 1:

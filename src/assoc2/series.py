@@ -77,10 +77,6 @@ class LaurentPoly:
                 out[e] = out.get(e, 0) + c1 * c2
         return LaurentPoly(out)
 
-    def shifted(self, k: int) -> "LaurentPoly":
-        """Multiply by t^k."""
-        return LaurentPoly({e + k: c for e, c in self.coeffs.items()})
-
     def coefficient(self, exp: int) -> int:
         return self.coeffs.get(exp, 0)
 
@@ -125,10 +121,6 @@ class TruncatedSeries:
                 raise ValueError("exponent vector has wrong length")
             if sum(n) <= max_degree and p:
                 self.terms[n] = p
-
-    @classmethod
-    def zero(cls, var_count: int, max_degree: int) -> "TruncatedSeries":
-        return cls(var_count, max_degree)
 
     @classmethod
     def constant(cls, var_count: int, max_degree: int, p: LaurentPoly) -> "TruncatedSeries":

@@ -270,7 +270,9 @@ class _TwoBracketTable:
     is its label order, and V1-V6 are decided on that mask alone
     (_valid_face): a face's 2-brackets are interned once, then never looked
     at again.  The rows are computed once, over the pairs of pointed
-    2-brackets, from tb_inside, tb_compatible and _tb_oriented; a pointless
+    2-brackets, from one _tb_oriented and at most two tb_inside calls per
+    pair; compatible is tb_compatible read off those results (nested either
+    way, oriented, or over disjoint brackets), not evaluated again.  A pointless
     one keeps empty rows (compatible only with itself), and a face holding
     one fails V3.  No row changes after __init__, so readers need no lock.
     Bit y of inside[x] says x lies strictly inside y, of compatible[x] that
@@ -308,14 +310,15 @@ class _TwoBracketTable:
             x = universe[k]
             for j in pointed[i + 1:]:
                 y = universe[j]
+                o = _tb_oriented(x, y)
                 if tb_inside(x, y):
                     self.inside[k] |= 1 << j
                 elif tb_inside(y, x):
                     self.inside[j] |= 1 << k
-                if tb_compatible(x, y):
-                    self.compatible[k] |= 1 << j
-                    self.compatible[j] |= 1 << k
-                o = _tb_oriented(x, y)
+                elif o is None and x.lo <= y.hi and y.lo <= x.hi:
+                    continue  # overlapping brackets, neither nested nor oriented
+                self.compatible[k] |= 1 << j  # tb_compatible, from the tests above
+                self.compatible[j] |= 1 << k
                 if o == "above":
                     self.below[k] |= 1 << j
                 elif o == "below":

@@ -7,7 +7,7 @@ from functools import cache
 import pytest
 
 from assoc2 import cli, poset, series, twoassoc
-from assoc2.poset import RankedPoset
+from assoc2.poset import RankedPoset, _bits
 from assoc2.twoassoc import enumerate_Wn
 
 
@@ -207,11 +207,17 @@ def _negate_geometric_inverse(monkeypatch):
 
 def _reject_face_order(monkeypatch):
     # a dropped cover leaves its relation out of the closure, which the
-    # holders check of the face order reports as a PosetError
+    # closure check of the face order reports as a PosetError
     close = RankedPoset._close
 
-    def drop_first_cover(self, cover_pairs, down=None):
-        close(self, sorted(cover_pairs)[1:], down)
+    def drop_first_cover(self, down=None, lower=None):
+        layers = dict(self._rank_masks)  # the covers as _close reads them off the down-sets
+        lower = [d & layers.get(r - 1, 0) for d, r in zip(down, self.ranks)]
+        pairs = sorted((i, j) for j, m in enumerate(lower) for i in _bits(m))
+        if pairs:
+            i, j = pairs[0]
+            lower[j] ^= 1 << i
+        close(self, down, lower)
     monkeypatch.setattr(RankedPoset, "_close", drop_first_cover)
     monkeypatch.setattr(twoassoc, "_ENUM_CACHE", {})
     return ["wn", "enumerate", "--n", "1,1"], "face order of W_(1, 1): "

@@ -34,6 +34,27 @@ def test_constructor_validates_cover_ranks():
         RankedPoset({"a": 0, "b": 2}, [("a", "b")])
 
 
+def test_a_bad_label_cover_is_named_by_its_smallest_index_pair():
+    # in rank order 'c' -> 'c' comes first; in index order 'a' -> 'd' is the smallest
+    ranked = {"a": 0, "b": 0, "c": 1, "d": 2}
+    covers = [("a", "c"), ("b", "c"), ("c", "d"), ("b", "d"), ("c", "c"), ("a", "d")]
+    for given in (covers, covers[::-1]):
+        with pytest.raises(PosetError, match=r"^cover 'a' -> 'd' must raise rank by 1 "
+                                             r"\(got 0 -> 2\)$"):
+            RankedPoset(ranked, given)
+    with pytest.raises(PosetError, match=r"^cover 'b' -> 'b' must raise rank by 1 \(got 1 -> 1\)$"):
+        RankedPoset({"a": 0, "b": 1}, [("a", "b"), ("b", "b")])
+
+
+def test_duplicate_label_covers_build_the_poset_of_one_copy():
+    K = enumerate_Kr(4)
+    covers = [(K.labels[i], K.labels[j]) for i, j in K.cover_pairs]
+    P = RankedPoset(dict(zip(K.labels, K.ranks)), covers + covers[::3] + covers[:1])
+    assert P.cover_pairs == K.cover_pairs and P._upper == K._upper
+    assert P._down == K._down and P._up == K._up
+    assert (P._minimal, P._maximal) == (K._minimal, K._maximal)
+
+
 def test_from_down_sets_reads_the_covers_off_the_layer_below():
     P = RankedPoset.from_down_sets({"a": 0, "b": 1, "c": 1, "d": 2},
                                    [0b0001, 0b0011, 0b0101, 0b1111], meta={"kind": "test"})
@@ -811,13 +832,16 @@ def _eager_close(labels, ranks, cover_pairs, down=None):
 @pytest.fixture
 def eager_checked(monkeypatch):
     """Check each poset built in the test against _eager_close on the covers and
-    down-sets its _close was given; yields the sizes of the posets checked.
+    down-sets its _close was given or read; yields the sizes of the posets checked.
     The W_n memo starts empty, so every W_n is built and checked afresh."""
     close, sizes = RankedPoset._close, []
 
-    def checked_close(self, cover_pairs, down=None):
-        cover_pairs = list(cover_pairs)
-        close(self, cover_pairs, down)
+    def checked_close(self, down=None, lower=None):
+        if lower is None:  # the covers as _close reads them off the down-sets
+            layers = dict(self._rank_masks)
+            lower = [d & layers.get(r - 1, 0) for d, r in zip(down, self.ranks)]
+        cover_pairs = [(i, j) for j, m in enumerate(lower) for i in _bits(m)]
+        close(self, down, lower)
         assert "_up" not in vars(self) and "cover_pairs" not in vars(self)
         got = (self.cover_pairs, self._up, self._down, self._minimal, self._maximal)
         assert got == _eager_close(self.labels, self.ranks, cover_pairs, down), self.labels[:4]
@@ -835,6 +859,11 @@ def test_desk_Wn_and_completions_derive_what_the_eager_closure_stored(eager_chec
     for n in desk_nvectors():
         enumerate_Wn(n).complete_with_min("F^min")
     assert len(eager_checked) == 2 * 59
+
+
+def test_Wn_302_and_its_completion_derive_what_the_eager_closure_stored(eager_checked):
+    enumerate_Wn((3, 0, 2)).complete_with_min("F^min")
+    assert eager_checked == [4577, 4578]
 
 
 def test_Kr_derive_what_the_eager_closure_stored(eager_checked):
@@ -982,11 +1011,14 @@ def test_cd_index_three_polytope_formula(n):
 
 
 def test_json_round_trip():
-    P = enumerate_Kr(3)
-    Q = RankedPoset.from_json_dict(P.to_json_dict())
-    assert Q.labels == P.labels and Q.ranks == P.ranks
-    assert Q.cover_pairs == P.cover_pairs
-    assert P.to_json() == Q.to_json()
+    # from_json_dict goes through the label covers, the W_n completion through
+    # down-sets: both must close to the same rows
+    for P in (enumerate_Kr(3), enumerate_Wn((2, 1)).complete_with_min("F^min")):
+        Q = RankedPoset.from_json_dict(P.to_json_dict())
+        assert Q.labels == P.labels and Q.ranks == P.ranks
+        assert Q.cover_pairs == P.cover_pairs
+        assert Q._down == P._down and Q._up == P._up
+        assert P.to_json() == Q.to_json()
 
 
 def _doc(elements, covers):

@@ -660,8 +660,14 @@ def test_containment_order_rejects_a_skip_rank_relation():
 def test_a_dropped_cover_is_a_verification_error(monkeypatch):
     close = RankedPoset._close
 
-    def drop_last_cover(self, cover_pairs, down=None):
-        close(self, sorted(cover_pairs)[:-1], down)
+    def drop_last_cover(self, down=None, lower=None):
+        layers = dict(self._rank_masks)  # the covers as _close reads them off the down-sets
+        lower = [d & layers.get(r - 1, 0) for d, r in zip(down, self.ranks)]
+        pairs = sorted((i, j) for j, m in enumerate(lower) for i in _bits(m))
+        if pairs:
+            i, j = pairs[-1]
+            lower[j] ^= 1 << i
+        close(self, down, lower)
     monkeypatch.setattr(RankedPoset, "_close", drop_last_cover)
     monkeypatch.setattr(twoassoc, "_ENUM_CACHE", {})
     with pytest.raises(VerificationError, match=r"^face order of W_\(2, 1\): order is not"):
@@ -778,6 +784,19 @@ def _table_rows(table):
                       table.below[i] >> j & 1)
              for x, i in ids.items() for y, j in ids.items()},
             {x: (table.points[i], table.bracket[i], table.size[i]) for x, i in ids.items()})
+
+
+@pytest.mark.parametrize("n", [(2, 1), (1, 0, 2), (2, 2), (1, 1, 1), (3, 0, 2)], ids=str)
+def test_table_rows_are_the_object_predicates(n):
+    # the table reads compatible off its inside and orientation results; each row
+    # must still equal its predicate evaluated on its own, pointed pair by pair
+    table = _TwoBracketTable(n)
+    pointed = [(x, k) for x, k in table.ids.items() if table.points[k]]
+    for x, i in pointed:
+        for y, j in pointed:
+            got = (table.inside[i] >> j & 1, table.compatible[i] >> j & 1, table.below[i] >> j & 1)
+            want = (x != y and tb_inside(x, y), tb_compatible(x, y), _tb_oriented(x, y) == "above")
+            assert got == want, (x, y)
 
 
 def test_concurrent_validation_builds_the_same_table(monkeypatch):
