@@ -63,7 +63,10 @@ class AuditReport:
 
 def fiber_rank_counts(n) -> dict[str, dict[int, int]]:
     """Enumerated face counts of W_n split by forgetful image and rank."""
-    P = enumerate_Wn(n)
+    return _fiber_rank_counts(enumerate_Wn(n))
+
+
+def _fiber_rank_counts(P: ps.RankedPoset) -> dict[str, dict[int, int]]:
     pi_of = P.meta["pi"]
     out: dict[str, dict[int, int]] = {}
     for lab in P.labels:
@@ -76,13 +79,17 @@ def fiber_rank_counts(n) -> dict[str, dict[int, int]]:
 def audit_counts(n, max_degree: int | None = None) -> AuditReport:
     """Three-way count agreement per tree: series, recurrence, enumeration."""
     n = ta.check_nvector(n)
-    r = len(n)
     D = max(sum(n), 1) if max_degree is None else max_degree
     if D < sum(n):
         raise ValueError(f"max_degree {D} is below |n| = {sum(n)}")
     rep = AuditReport()
-    fibers = fiber_rank_counts(n)
-    for tree in trees_of_Kr(r):
+    _add_count_rows(rep, n, fiber_rank_counts(n), D)
+    return rep
+
+
+def _add_count_rows(rep: AuditReport, n: tuple[int, ...], fibers: dict[str, dict[int, int]],
+                    D: int) -> None:
+    for tree in trees_of_Kr(len(n)):
         text = tree_to_text(tree)
         F = se.solve_F(tree, D)
         for m in range(ta.top_rank(n) + 1):
@@ -91,15 +98,24 @@ def audit_counts(n, max_degree: int | None = None) -> AuditReport:
                     {"series": recur_val, "recurrence": recur_val, "enumeration": recur_val},
                     {"series": se.coefficient(F, m, n), "recurrence": recur_val,
                      "enumeration": fibers.get(text, {}).get(m, 0)})
-    return rep
 
 
 def audit_identities(n_list, r_list, max_degree: int,
                      fiber_r_max: int = 2, fiber_k_max: int = 3,
                      fiber_weight_max: int = 3) -> AuditReport:
     """The t = -1 identities, balance checks, fiber and reduced products."""
-    rep = AuditReport()
+    rep = _series_identities(r_list, max_degree)
+    for n in n_list:
+        n = ta.check_nvector(n)
+        P = enumerate_Wn(n)
+        _add_balance_rows(rep, n, P, P.complete_with_min("F^min"))
+    rep.merge(audit_fiber_products(fiber_r_max, fiber_k_max, fiber_weight_max))
+    rep.merge(audit_reduced_products())
+    return rep
 
+
+def _series_identities(r_list, max_degree: int) -> AuditReport:
+    rep = AuditReport()
     fm1 = se.eval_t_minus1(se.solve_f(max_degree))
     for deg in range(1, max_degree + 1):
         rep.add("f.eval_minus1", {"r": deg}, 1, se.coefficient(fm1, 0, (deg,)))
@@ -110,25 +126,22 @@ def audit_identities(n_list, r_list, max_degree: int,
             want = se.t_minus1_closed_form(tree, max_degree)
             rep.add("F_T.eval_minus1.closed_form",
                     {"tree": tree_to_text(tree), "D": max_degree}, True, F == want)
-
-    for n in n_list:
-        n = ta.check_nvector(n)
-        P = enumerate_Wn(n)
-        comp = P.complete_with_min("F^min")
-        rep.add("What.balanced", {"n": list(n)}, 0,
-                comp.alternating_sum("F^min", comp.unique_max()))
-        sums: dict[str, int] = {}
-        pi_of = P.meta["pi"]
-        for lab in P.labels:
-            sums[pi_of[lab]] = sums.get(pi_of[lab], 0) + (-1) ** P.rank_of(lab)
-        for tree in trees_of_Kr(len(n)):
-            text = tree_to_text(tree)
-            rep.add("fiber.balance", {"n": list(n), "tree": text},
-                    (-1) ** dim_tree(tree), sums.get(text, 0))
-
-    rep.merge(audit_fiber_products(fiber_r_max, fiber_k_max, fiber_weight_max))
-    rep.merge(audit_reduced_products())
     return rep
+
+
+def _add_balance_rows(rep: AuditReport, n: tuple[int, ...], P: ps.RankedPoset,
+                      comp: ps.RankedPoset) -> None:
+    """What.balanced on the completion comp of P = W_n, and fiber.balance per tree."""
+    rep.add("What.balanced", {"n": list(n)}, 0,
+            comp.alternating_sum("F^min", comp.unique_max()))
+    sums: dict[str, int] = {}
+    pi_of = P.meta["pi"]
+    for lab in P.labels:
+        sums[pi_of[lab]] = sums.get(pi_of[lab], 0) + (-1) ** P.rank_of(lab)
+    for tree in trees_of_Kr(len(n)):
+        text = tree_to_text(tree)
+        rep.add("fiber.balance", {"n": list(n), "tree": text},
+                (-1) ** dim_tree(tree), sums.get(text, 0))
 
 
 def audit_fiber_products(r_max: int = 2, k_max: int = 3, weight_max: int = 3) -> AuditReport:
@@ -138,11 +151,13 @@ def audit_fiber_products(r_max: int = 2, k_max: int = 3, weight_max: int = 3) ->
         K = enumerate_Kr(r)
         vecs = [n for n in itertools.product(range(weight_max + 1), repeat=r)
                 if any(n) and sum(n) <= weight_max]
+        # held for the whole loop, as the enumeration memo keeps no W_n by itself
+        factors = {m: enumerate_Wn(m) for m in vecs}
         for k in range(1, k_max + 1):
             for ms in itertools.combinations_with_replacement(vecs, k):
                 # W_n labels hold commas only inside 2-bracket texts, so the
                 # tuple labels of a repeated factor cannot collide
-                posets = [enumerate_Wn(m) for m in ms]
+                posets = [factors[m] for m in ms]
                 FP = ps.fiber_product(posets, K, [W.meta["pi"] for W in posets])
                 total = sum((-1) ** FP.rank_of(x) for x in FP.labels)
                 rep.add("fiber_product.alternating_sum",
@@ -226,7 +241,12 @@ def audit_eulerian(n) -> AuditReport:
     """Full Eulerian verification of the completed poset plus cross-checks."""
     n = ta.check_nvector(n)
     rep = AuditReport()
-    P = enumerate_Wn(n).complete_with_min("F^min")
+    _add_eulerian_rows(rep, n, enumerate_Wn(n).complete_with_min("F^min"))
+    return rep
+
+
+def _add_eulerian_rows(rep: AuditReport, n: tuple[int, ...], P: ps.RankedPoset) -> None:
+    """The Eulerian sweeps and cross-checks on P, W_n completed by F^min."""
     res = P.verify_eulerian()
     rep.add("eulerian.unbalanced_intervals", {"n": list(n), "pairs": res.pairs_checked},
             0, len(res.unbalanced))
@@ -242,7 +262,6 @@ def audit_eulerian(n) -> AuditReport:
     bad_super = sum(1 for x in P.labels
                     if x != top and P.alternating_sum(x, top) != 0)
     rep.add("eulerian.superlevel_intervals", {"n": list(n), "top": "F^max"}, 0, bad_super)
-    return rep
 
 
 def desk_nvectors() -> list[tuple[int, ...]]:
@@ -257,12 +276,21 @@ def desk_nvectors() -> list[tuple[int, ...]]:
 
 
 def audit_desk() -> AuditReport:
-    """The full desk-scale profile; the release gate."""
-    rep = AuditReport()
+    """The full desk-scale profile; the release gate.
+
+    Each W_n is read in one pass and then dropped: its count, balance and
+    Eulerian rows go to three buffers, which the report joins in the order
+    audit_counts, audit_identities and audit_eulerian would give them.
+    """
+    counts, balance, eulerian = AuditReport(), AuditReport(), AuditReport()
     vecs = desk_nvectors()
     for n in vecs:
-        rep.merge(audit_counts(n))
-    rep.merge(audit_identities(n_list=vecs, r_list=[1, 2, 3], max_degree=6))
+        _desk_rows(n, counts, balance, eulerian)
+    rep = counts
+    rep.merge(_series_identities(r_list=[1, 2, 3], max_degree=6))
+    rep.merge(balance)
+    rep.merge(audit_fiber_products())
+    rep.merge(audit_reduced_products())
 
     fm1 = se.eval_t_minus1(se.solve_f(12))
     for deg in range(1, 13):
@@ -275,6 +303,16 @@ def audit_desk() -> AuditReport:
                 enumerate_Kr(deg).rank_counts(),
                 {m: count_K(m, deg) for m in range(max(deg - 1, 1)) if count_K(m, deg)})
 
-    for n in vecs:
-        rep.merge(audit_eulerian(n))
+    rep.merge(eulerian)
     return rep
+
+
+def _desk_rows(n: tuple[int, ...], counts: AuditReport, balance: AuditReport,
+               eulerian: AuditReport) -> None:
+    """W_n's count, balance and Eulerian rows, from one enumeration and one completion."""
+    P = enumerate_Wn(n)
+    comp = P.complete_with_min("F^min")
+    _add_count_rows(counts, n, _fiber_rank_counts(P), max(sum(n), 1))
+    _add_balance_rows(balance, n, P, comp)
+    del P  # the sweeps read the completion alone, and the memo keeps no dropped W_n
+    _add_eulerian_rows(eulerian, n, comp)

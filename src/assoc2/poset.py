@@ -601,21 +601,29 @@ def flag_f_vector(P: RankedPoset) -> FlagVector:
 
     Rank sets are walked depth-first; each carries its chains as count classes,
     each chain count mapped to the mask of the chain tops with that count.
+    The stack holds the current rank set's ancestors, each with the next rank
+    to extend it by, so one path of classes is alive at a time.  A closure
+    calling itself would be a reference cycle, keeping P alive until the
+    cyclic collector ran.
     """
     bot, top, span, layers = _bounded_graded_data(P)
-    entries: dict[frozenset, int] = {}
-
-    def walk(S: tuple[int, ...], chains: dict[int, int], lo: int) -> None:
-        entries[frozenset(S)] = _grouped_sum(P._down[P.index(top)], chains)
-        for r in range(lo, span):
-            nxt: dict[int, int] = {}
-            for j in layers[r]:
-                count = _grouped_sum(P._down[j], chains)
-                if count:
-                    nxt[count] = nxt.get(count, 0) | 1 << j
-            walk(S + (r,), nxt, r + 1)
-
-    walk((), {1: 1 << P.index(bot)}, 1)
+    down, top_row = P._down, P._down[P.index(top)]
+    chains = {1: 1 << P.index(bot)}
+    entries: dict[frozenset, int] = {frozenset(): _grouped_sum(top_row, chains)}
+    stack = [((), chains, 1)]
+    while stack:
+        S, chains, r = stack.pop()
+        if r >= span:
+            continue
+        stack.append((S, chains, r + 1))
+        nxt: dict[int, int] = {}
+        for j in layers[r]:
+            count = _grouped_sum(down[j], chains)
+            if count:
+                nxt[count] = nxt.get(count, 0) | 1 << j
+        S += (r,)
+        entries[frozenset(S)] = _grouped_sum(top_row, nxt)
+        stack.append((S, nxt, r + 1))
     return FlagVector(rank_span=span, entries=entries)
 
 

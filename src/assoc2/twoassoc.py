@@ -19,6 +19,7 @@ independent count oracles.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from functools import cache
 from math import factorial, prod
@@ -425,7 +426,13 @@ def _valid_face(table: _TwoBracketTable, brackets: frozenset[tuple[int, int]],
     if face & ~allowed:
         return False
 
-    # (V4) pairwise nesting or consistent vertical order
+    # (V4) pairwise nesting or consistent vertical order; implied by the parse, as
+    # the order tests below imply it and it implies them. By V1 two members over
+    # overlapping brackets sit over nested brackets, so they are nested in the
+    # forest or lie in two children of one node over one bracket, which
+    # _stack_ordered orders. That order passes to all they contain, and V3 gives
+    # the inner member a point, a line where the order is strict. Dropping V4
+    # and those tests together fails test_validate_rejects_inconsistent_orientation.
     elems = list(_bits(face))
     compatible = table.compatible
     if any(face & ~compatible[x] for x in elems):
@@ -689,7 +696,9 @@ def _gen_fiber(tree: Tree, n: tuple[int, ...], line_off: int, offs: tuple[int, .
     return tuple(out)
 
 
-_ENUM_CACHE: dict[tuple[int, ...], RankedPoset] = {}
+# each W_n by n, while some caller holds it (see enumerate_Wn)
+_ENUM_CACHE: weakref.WeakValueDictionary[tuple[int, ...], RankedPoset] = \
+    weakref.WeakValueDictionary()
 
 
 def enumerate_Wn(n, max_elements: int = DEFAULT_MAX_ELEMENTS) -> RankedPoset:
@@ -711,7 +720,10 @@ def enumerate_Wn(n, max_elements: int = DEFAULT_MAX_ELEMENTS) -> RankedPoset:
     lower, and the closure of the covers must give back every down-set.
     The construction asserts gradedness, the unique maximum at rank
     |n| + r - 3 and minimal elements at rank 0.  Above max_elements no face
-    is built, and a memoized poset is checked by its own size.
+    is built.  The memo is weak: while any caller holds W_n, every call for
+    n returns that same poset, checked against max_elements by its own
+    size; once no one holds it, it is freed and the next call builds it
+    afresh.  A caller that reads one W_n several times holds it meanwhile.
     """
     n = check_nvector(n)
     poset = _ENUM_CACHE.get(n)

@@ -7,6 +7,8 @@ lines; every tolerance is exact integer equality.
 import itertools
 import time
 
+import pytest
+
 from assoc2 import cli
 from assoc2.audit import (audit_counts, audit_eulerian, audit_fiber_products,
                           audit_reduced_products, desk_nvectors)
@@ -15,6 +17,9 @@ from assoc2.series import (check_f_closed_form, coefficient, eval_t_minus1,
                            solve_F, solve_f, t_minus1_closed_form)
 from assoc2.trees import count_K, enumerate_Kr, tree_to_text
 from assoc2.twoassoc import enumerate_Wn, face_two_bracketings, trees_of_Kr
+
+# these tests read the desk W_n many times: hold them (see conftest.desk_wn)
+pytestmark = pytest.mark.usefixtures("desk_wn")
 
 
 def report(num, ok, detail=""):

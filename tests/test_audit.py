@@ -5,6 +5,9 @@ from assoc2.audit import (AuditReport, audit_counts, audit_eulerian,
                           audit_reduced_products, bounded_graded_family,
                           desk_nvectors)
 
+# these tests read the desk W_n many times: hold them (see conftest.desk_wn)
+pytestmark = pytest.mark.usefixtures("desk_wn")
+
 
 def test_audit_counts_11():
     rep = audit_counts((1, 1))

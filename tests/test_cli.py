@@ -1,12 +1,16 @@
+import gc
 import hashlib
 import io
 import json
 import time
+import weakref
+from collections import Counter
 from functools import cache
 
 import pytest
 
 from assoc2 import cli, poset, series, twoassoc
+from assoc2.audit import desk_nvectors
 from assoc2.poset import RankedPoset, _bits
 from assoc2.twoassoc import enumerate_Wn
 
@@ -236,13 +240,63 @@ def test_verification_error_is_one_line_exit_1(breakage, monkeypatch, capsys):
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
-def test_desk_audit_bytes_are_pinned():
+class _RecordingMemo(weakref.WeakValueDictionary):
+    """An enumeration memo that records each n stored, that is each cold enumeration."""
+
+    def __init__(self):
+        super().__init__()
+        self.stored = []
+
+    def __setitem__(self, n, poset):
+        self.stored.append(n)
+        super().__setitem__(n, poset)
+
+
+def _record_completions(monkeypatch) -> tuple[Counter, list]:
+    """Count completions by the n of the completed W_n; keep weak references to both."""
+    done, refs = Counter(), []
+    complete = RankedPoset.complete_with_min
+
+    def recorded(self, label="0^"):
+        comp = complete(self, label)
+        done[self.meta.get("n")] += 1
+        refs.extend((weakref.ref(self), weakref.ref(comp)))
+        return comp
+    monkeypatch.setattr(RankedPoset, "complete_with_min", recorded)
+    return done, refs
+
+
+def test_desk_audit_bytes_are_pinned(monkeypatch):
     # the release gate: every row passes, and the report is the one perfbench/workloads.py pins
+    memo = _RecordingMemo()
+    monkeypatch.setattr(twoassoc, "_ENUM_CACHE", memo)
+    completed, _ = _record_completions(monkeypatch)
     code, out = run(["audit", "--profile", "desk", "--format", "json"])
     assert code == 0
     assert json.loads(out)["summary"] == {"total": 1310, "passed": 1310, "failed": 0}
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "c9374996e23ce2f9d111e219a130a09b7421cbc12b44989cbe964e392d92a702"
+    # one pass per desk n: each W_n is enumerated cold once and completed once; only the
+    # 12 factors of the fiber products may be enumerated again, once their pass dropped them
+    assert sorted(set(memo.stored)) == sorted(desk_nvectors()) and len(desk_nvectors()) == 59
+    assert len(memo.stored) <= 59 + 12
+    assert completed == Counter(desk_nvectors())
+
+
+def test_cd_index_call_leaves_no_poset_alive(monkeypatch):
+    memo = weakref.WeakValueDictionary()
+    monkeypatch.setattr(twoassoc, "_ENUM_CACHE", memo)
+    completed, refs = _record_completions(monkeypatch)
+    enabled = gc.isenabled()
+    gc.disable()  # freed by reference counting alone, with no collection pending
+    try:
+        code, out = run(["cd-index", "--n", "2,1"])
+        assert code == 0 and out.startswith("W_(2,1)^: ")
+        assert completed == Counter([(2, 1)]) and len(refs) == 2
+        assert [ref() for ref in refs] == [None, None] and len(memo) == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_audit_json_shape():

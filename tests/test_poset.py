@@ -1,8 +1,10 @@
 import copy
+import gc
 import itertools
 import random
 import re
 import time
+import weakref
 from collections import Counter
 
 import pytest
@@ -16,6 +18,9 @@ from assoc2.poset import (CdPolynomial, FlagVector, NonEulerianError, PosetError
                           reduced_product)
 from assoc2.trees import all_bracketings, bracketing_to_tree, enumerate_Kr, tree_to_text
 from assoc2.twoassoc import enumerate_Wn
+
+# these tests read the desk W_n many times: hold them (see conftest.desk_wn)
+pytestmark = pytest.mark.usefixtures("desk_wn")
 
 
 def chain(*ranks):
@@ -777,6 +782,21 @@ def test_flag_f_vector_by_count_classes_matches_the_per_element_walk():
     posets = _flag_test_posets() + [enumerate_Wn((3, 3)).complete_with_min("F^min")]
     for P in posets:
         assert flag_f_vector(P) == _per_element_flag_f_vector(P)
+
+
+def test_cd_index_frees_its_poset_without_the_cycle_collector():
+    # nothing cd_index leaves behind refers to the poset, so the last reference frees it
+    C = enumerate_Wn((2, 1)).complete_with_min("F^min")
+    gone = weakref.ref(C)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        cd_index(C)
+        del C
+        assert gone() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_flag_h_vector_matches_inclusion_exclusion():

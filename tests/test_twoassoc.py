@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import itertools
 import math
 import pickle
@@ -6,6 +7,7 @@ import random
 import sys
 import threading
 import time
+import weakref
 from functools import cache, cmp_to_key
 
 import pytest
@@ -24,6 +26,9 @@ from assoc2.twoassoc import (SearchSpaceError, TwoBracket, TwoBracketing, Verifi
                              max_two_bracket, point_singleton, removables, restrict_to_bracket,
                              tb_compatible, tb_inside, top_element, top_rank, trees_of_Kr,
                              validate_two_bracketing)
+
+# these tests read the desk W_n many times: hold them (see conftest.desk_wn)
+pytestmark = pytest.mark.usefixtures("desk_wn")
 
 
 def test_check_nvector():
@@ -127,6 +132,25 @@ def test_enumerate_respects_element_bound(monkeypatch):
     with pytest.raises(SearchSpaceError, match="17 faces"):
         enumerate_Wn((2, 1), max_elements=5)
     assert enumerate_Wn((2, 1), max_elements=17) is P
+
+
+def test_the_memo_shares_a_held_W_n_and_forgets_a_dropped_one(monkeypatch):
+    assert isinstance(twoassoc._ENUM_CACHE, weakref.WeakValueDictionary)
+    memo = weakref.WeakValueDictionary()
+    monkeypatch.setattr(twoassoc, "_ENUM_CACHE", memo)
+    enabled = gc.isenabled()
+    gc.disable()  # the memo must let go by reference counting alone
+    try:
+        P = enumerate_Wn((2, 1))
+        assert enumerate_Wn((2, 1)) is P and list(memo) == [(2, 1)]
+        gone = weakref.ref(P)
+        del P
+        assert gone() is None and len(memo) == 0
+        Q = enumerate_Wn((2, 1))
+        assert list(memo) == [(2, 1)] and Q.rank_counts() == {0: 8, 1: 8, 2: 1}
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class _Counted(Exception):
