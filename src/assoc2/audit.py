@@ -278,33 +278,91 @@ def desk_nvectors() -> list[tuple[int, ...]]:
 def audit_desk() -> AuditReport:
     """The full desk-scale profile; the release gate.
 
-    Each W_n is read in one pass and then dropped: its count, balance and
-    Eulerian rows go to three buffers, which the report joins in the order
-    audit_counts, audit_identities and audit_eulerian would give them.
+    Two lanes run at the same time.  A forked worker runs the fiber and
+    reduced products, which share no state with the rest; this process runs
+    the per-n rows, the series identities, the f rows and the K_r rows.  Each
+    W_n is read there in one pass and then dropped: its count, balance and
+    Eulerian rows go to three buffers.  The report joins every section in one
+    fixed order: counts, series identities, balance, fiber products, reduced
+    products, f rows, K_r rows, Eulerian rows.
     """
-    counts, balance, eulerian = AuditReport(), AuditReport(), AuditReport()
-    vecs = desk_nvectors()
-    for n in vecs:
-        _desk_rows(n, counts, balance, eulerian)
-    rep = counts
-    rep.merge(_series_identities(r_list=[1, 2, 3], max_degree=6))
-    rep.merge(balance)
-    rep.merge(audit_fiber_products())
-    rep.merge(audit_reduced_products())
+    (fiber, reduced), (counts, series, balance, tail, eulerian) = _forked(
+        lambda: (audit_fiber_products(), audit_reduced_products()), _desk_lane)
+    rep = AuditReport()
+    for part in (counts, series, balance, fiber, reduced, tail, eulerian):
+        rep.merge(part)
+    return rep
 
+
+def _desk_lane() -> tuple[AuditReport, ...]:
+    """The desk's counts, series, balance, f and K_r, and Eulerian sections."""
+    counts, balance, eulerian = AuditReport(), AuditReport(), AuditReport()
+    for n in desk_nvectors():
+        _desk_rows(n, counts, balance, eulerian)
+    series = _series_identities(r_list=[1, 2, 3], max_degree=6)
+    tail = AuditReport()
     fm1 = se.eval_t_minus1(se.solve_f(12))
     for deg in range(1, 13):
-        rep.add("f.eval_minus1", {"r": deg}, 1, se.coefficient(fm1, 0, (deg,)))
+        tail.add("f.eval_minus1", {"r": deg}, 1, se.coefficient(fm1, 0, (deg,)))
     ok, bad = se.check_f_closed_form(12)
-    rep.add("f.closed_form", {"D": 12}, (True, None), (ok, bad))
-
+    tail.add("f.closed_form", {"D": 12}, (True, None), (ok, bad))
     for deg in range(1, 9):
-        rep.add("count_K.vs.enumeration", {"r": deg},
-                enumerate_Kr(deg).rank_counts(),
-                {m: count_K(m, deg) for m in range(max(deg - 1, 1)) if count_K(m, deg)})
+        tail.add("count_K.vs.enumeration", {"r": deg},
+                 enumerate_Kr(deg).rank_counts(),
+                 {m: count_K(m, deg) for m in range(max(deg - 1, 1)) if count_K(m, deg)})
+    return counts, series, balance, tail, eulerian
 
-    rep.merge(eulerian)
-    return rep
+
+def _forked(worker, parent):
+    """(worker(), parent()), with worker() run in a forked process meanwhile.
+
+    The worker pickles its result, or the exception it raised, to a pipe and
+    leaves by os._exit, never returning to the caller.  This process runs
+    parent(), then reads the pipe to its end, reaps the worker and raises a
+    worker exception again with its type and message.  If parent() raises,
+    the worker is killed and reaped first; a worker that ends without
+    writing, or with a nonzero status, is a VerificationError naming that
+    status.  Where os.fork does not exist, both run here in turn.
+    """
+    import os
+    if not hasattr(os, "fork"):
+        mine = parent()
+        return worker(), mine
+    import pickle
+    import signal
+
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            try:
+                outcome = (True, worker())
+            except BaseException as exc:
+                outcome = (False, exc)
+            with open(w, "wb") as pipe:
+                pipe.write(pickle.dumps(outcome))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    data = None
+    with open(r, "rb") as pipe:
+        try:
+            mine = parent()
+            data = pipe.read()
+        finally:
+            if data is None:
+                os.kill(pid, signal.SIGKILL)
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status or not data:
+        how = f"signal {-status}" if status < 0 else f"exit status {status}"
+        raise ta.VerificationError(f"the audit worker ended by {how} without a result")
+    ok, value = pickle.loads(data)
+    if not ok:
+        raise value
+    return value, mine
 
 
 def _desk_rows(n: tuple[int, ...], counts: AuditReport, balance: AuditReport,

@@ -797,9 +797,11 @@ def face_two_bracketings(n):
 
     The faces come in generation order, after enumerate_Wn (default bound)
     has validated them; each object is built when reached and kept by no one.
+    The generator holds W_n while it runs, so an enumerate_Wn(n) call made
+    meanwhile gets the same poset from the memo instead of building it again.
     """
     n = check_nvector(n)
-    enumerate_Wn(n)
+    held = enumerate_Wn(n)  # never read: it keeps W_n in the weak memo while this runs
     for kb in all_bracketings(len(n)):
         for fs, _d in _gen_fiber(bracketing_to_tree(kb), n, 0, (0,) * len(n)):
             tb = TwoBracketing(n, kb.brackets, frozenset(fs))

@@ -1,9 +1,14 @@
+import os
+import time
+
 import pytest
 
-from assoc2.audit import (AuditReport, audit_counts, audit_eulerian,
+from assoc2.audit import (AuditReport, _forked, audit_counts, audit_eulerian,
                           audit_fiber_products, audit_identities,
                           audit_reduced_products, bounded_graded_family,
                           desk_nvectors)
+from assoc2.poset import PosetError
+from assoc2.twoassoc import VerificationError
 
 # these tests read the desk W_n many times: hold them (see conftest.desk_wn)
 pytestmark = pytest.mark.usefixtures("desk_wn")
@@ -94,3 +99,54 @@ def test_desk_nvectors_cover_configured_ranges():
     assert (2, 3) in vecs and (5, 0) in vecs and (3, 3) not in vecs
     assert (2, 1, 1) in vecs and (2, 2, 1) not in vecs
     assert all(any(v) for v in vecs)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _raise(exc):
+    raise exc
+
+
+def test_forked_returns_both_results():
+    report = AuditReport()
+    report.add("demo", {"n": [2, 1]}, {0: 1}, {0: 1})
+    (pid, sent), mine = _forked(lambda: (os.getpid(), report), lambda: "here")
+    assert pid != os.getpid() and mine == "here"
+    assert sent is not report and sent.checks == report.checks
+    _no_child_left()
+
+
+@pytest.mark.parametrize("exc", [VerificationError("planted in the worker"),
+                                 PosetError("planted in the worker")], ids=lambda e: type(e).__name__)
+def test_forked_raises_the_worker_exception_with_its_type_and_message(exc):
+    with pytest.raises(type(exc)) as info:
+        _forked(lambda: _raise(exc), lambda: None)
+    assert type(info.value) is type(exc) and str(info.value) == "planted in the worker"
+    _no_child_left()
+
+
+def test_forked_names_the_exit_status_of_a_worker_that_sent_nothing():
+    with pytest.raises(VerificationError) as info:
+        _forked(lambda: os._exit(3), lambda: None)
+    assert str(info.value) == "the audit worker ended by exit status 3 without a result"
+    _no_child_left()
+
+
+def test_forked_kills_and_reaps_the_worker_when_this_lane_raises():
+    t0 = time.monotonic()
+    with pytest.raises(PosetError, match="parent lane"):
+        _forked(lambda: time.sleep(60), lambda: _raise(PosetError("parent lane")))
+    assert time.monotonic() - t0 < 30
+    _no_child_left()
+
+
+def test_forked_runs_both_lanes_inline_without_fork(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    pid = os.getpid()
+    assert _forked(lambda: os.getpid(), lambda: "here") == (pid, "here")
+    with pytest.raises(VerificationError, match="inline"):
+        _forked(lambda: _raise(VerificationError("inline")), lambda: None)
+    _no_child_left()

@@ -1,5 +1,8 @@
 import ast
 import copy
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import assoc2
@@ -16,6 +19,18 @@ def test_no_assert_statements_in_the_package():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_importing_the_cli_loads_no_pickle_or_process_pool():
+    # every command pays for its imports: the desk audit's worker imports pickle when it forks
+    src = str(Path(assoc2.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = ("import sys, assoc2.cli; "
+             "print(sorted({'pickle', 'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_only_poset_reads_the_private_rows_of_a_ranked_poset():

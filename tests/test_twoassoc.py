@@ -153,6 +153,24 @@ def test_the_memo_shares_a_held_W_n_and_forgets_a_dropped_one(monkeypatch):
             gc.enable()
 
 
+def test_face_two_bracketings_holds_W_n_while_it_runs(monkeypatch):
+    class Recording(weakref.WeakValueDictionary):
+        def __setitem__(self, n, poset):
+            cold.append(n)
+            super().__setitem__(n, poset)
+    cold = []
+    monkeypatch.setattr(twoassoc, "_ENUM_CACHE", Recording())
+    enabled = gc.isenabled()
+    gc.disable()  # only the generator's own reference keeps W_n in the memo
+    try:
+        labels = [lab for lab, _tb in face_two_bracketings((2, 1))
+                  if lab in enumerate_Wn((2, 1)).labels]
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(labels) == 17 and cold == [(2, 1)]
+
+
 class _Counted(Exception):
     pass
 
