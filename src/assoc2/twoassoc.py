@@ -610,13 +610,14 @@ class VerificationError(Exception):
 
 
 def _screen_stacks(tree: Tree, n: tuple[int, ...], line_off: int,
-                   offs: tuple[int, ...]):
+                   offs: tuple[int, ...], screens: dict):
     """Ordered stacks of fib(tree, q) faces filling n, bottom screen first.
 
     Yields (2-brackets, screen dimensions); the stack starts at line
     `line_off` + 1 and at points `offs` above each line's origin.  n = 0
     yields only the empty stack.  Each screen is generated once per place
-    and reused in every stack that puts it there.
+    in the caller's `screens` memo (see _gen_fiber) and reused in every
+    stack that puts it there.
     """
     if not any(n):
         yield (), ()
@@ -624,16 +625,16 @@ def _screen_stacks(tree: Tree, n: tuple[int, ...], line_off: int,
     for q in itertools.product(*[range(v + 1) for v in n]):
         if not any(q):
             continue
-        screens = _gen_fiber(tree, q, line_off, offs)
+        first = _gen_fiber(tree, q, line_off, offs, screens)
         rest = tuple(a - b for a, b in zip(n, q))
         above = tuple(o + v for o, v in zip(offs, q))
-        for tbs, dims in _screen_stacks(tree, rest, line_off, above):
-            for fs, d in screens:
+        for tbs, dims in _screen_stacks(tree, rest, line_off, above, screens):
+            for fs, d in first:
                 yield fs + tbs, (d,) + dims
 
 
-@cache
-def _gen_fiber(tree: Tree, n: tuple[int, ...], line_off: int, offs: tuple[int, ...]):
+def _gen_fiber(tree: Tree, n: tuple[int, ...], line_off: int, offs: tuple[int, ...],
+               screens: dict):
     """All faces of W_n over `tree`, placed from line `line_off` + 1 and `offs`.
 
     Returns a tuple of (2-bracket tuple, dimension) pairs, generated where
@@ -643,8 +644,15 @@ def _gen_fiber(tree: Tree, n: tuple[int, ...], line_off: int, offs: tuple[int, .
     K_n and share one 2-bracket per run of points.  A vertical face is a
     first screen fib(tree, q), 0 < q < n, under a nonempty stack filling
     n - q; a horizontal face is one stack (maybe empty) per branch.  Stacks
-    come from _screen_stacks, dimensions from dim_2concat.
+    come from _screen_stacks, dimensions from dim_2concat.  `screens` is the
+    caller's memo, keyed by (tree, n, line_off, offs): each place is
+    generated and checked once per memo, and the memo goes with its caller,
+    so no face outlives the enumeration that made it.
     """
+    key = (tree, n, line_off, offs)
+    done = screens.get(key)
+    if done is not None:
+        return done
     r = tree.leaf_count()
     if len(n) != r or len(offs) != r or not any(n):
         raise ValueError(f"fiber over {tree_to_text(tree)} needs a nonzero n and offsets "
@@ -665,8 +673,8 @@ def _gen_fiber(tree: Tree, n: tuple[int, ...], line_off: int, offs: tuple[int, .
                 continue
             rest = tuple(a - b for a, b in zip(n, q))
             above = list(_screen_stacks(tree, rest, line_off,
-                                        tuple(o + v for o, v in zip(offs, q))))
-            for fs, d in _gen_fiber(tree, q, line_off, offs):
+                                        tuple(o + v for o, v in zip(offs, q)), screens))
+            for fs, d in _gen_fiber(tree, q, line_off, offs, screens):
                 for tbs, dims in above:
                     out.append(((mx, *fs, *tbs),
                                 dim_2concat([p], [1 + len(dims)], [[d, *dims]])))
@@ -677,7 +685,7 @@ def _gen_fiber(tree: Tree, n: tuple[int, ...], line_off: int, offs: tuple[int, .
         for child in branches:
             w = child.leaf_count()
             stacks.append(list(_screen_stacks(child, n[pos:pos + w], line_off + pos,
-                                              offs[pos:pos + w])))
+                                              offs[pos:pos + w], screens)))
             pos += w
         p_i = [dim_tree(b) for b in branches]
         for combo in itertools.product(*stacks):
@@ -693,7 +701,8 @@ def _gen_fiber(tree: Tree, n: tuple[int, ...], line_off: int, offs: tuple[int, .
         raise VerificationError(f"duplicate faces in {where}")
     if any(d < 0 for _, d in out):
         raise VerificationError(f"negative dimension in {where}")
-    return tuple(out)
+    screens[key] = done = tuple(out)
+    return done
 
 
 # each W_n by n, while some caller holds it (see enumerate_Wn)
@@ -710,7 +719,9 @@ def enumerate_Wn(n, max_elements: int = DEFAULT_MAX_ELEMENTS) -> RankedPoset:
     same mask builds the label (the ids follow label order) and the order.
     One validation memo serves the call and is dropped on return: faces
     share their screens, so each bracketing frame, innermost container and
-    node verdict is decided once per enumeration, never once per face.
+    node verdict is decided once per enumeration, never once per face.  A
+    second, separate memo holds the generated screens by place (_gen_fiber)
+    and goes with the same return, so no face tuple outlives the call.
     No TwoBracketing is built; face_two_bracketings yields them on demand.
     A face's poset mask has one fixed bit per bracket and, above those, the
     table id bit of each of its 2-brackets.
@@ -757,11 +768,12 @@ def enumerate_Wn(n, max_elements: int = DEFAULT_MAX_ELEMENTS) -> RankedPoset:
     table = _table(n)
     intern = table.intern
     memo: dict = {}  # this enumeration's validation steps, see _valid_face
+    screens: dict = {}  # its generated screens by place, see _gen_fiber; shares nothing with memo
     for kb in bracketings:
         tree = bracketing_to_tree(kb)
         pi = _tree_text(kb)
         bracket_mask = kb.mask()  # below bit r * r
-        for fs, d in _gen_fiber(tree, n, 0, (0,) * r):
+        for fs, d in _gen_fiber(tree, n, 0, (0,) * r, screens):
             face = 0
             for x in fs:
                 face |= 1 << intern(x)
@@ -798,12 +810,14 @@ def face_two_bracketings(n):
     The faces come in generation order, after enumerate_Wn (default bound)
     has validated them; each object is built when reached and kept by no one.
     The generator holds W_n while it runs, so an enumerate_Wn(n) call made
-    meanwhile gets the same poset from the memo instead of building it again.
+    meanwhile gets the same poset from the memo instead of building it again,
+    and keeps its own screens memo (see _gen_fiber) until it is exhausted.
     """
     n = check_nvector(n)
     held = enumerate_Wn(n)  # never read: it keeps W_n in the weak memo while this runs
+    screens: dict = {}
     for kb in all_bracketings(len(n)):
-        for fs, _d in _gen_fiber(bracketing_to_tree(kb), n, 0, (0,) * len(n)):
+        for fs, _d in _gen_fiber(bracketing_to_tree(kb), n, 0, (0,) * len(n), screens):
             tb = TwoBracketing(n, kb.brackets, frozenset(fs))
             yield tb.label(), tb
 

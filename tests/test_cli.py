@@ -10,7 +10,7 @@ from functools import cache
 
 import pytest
 
-from assoc2 import cli, poset, series, twoassoc
+from assoc2 import audit, cli, poset, series, twoassoc
 from assoc2.audit import desk_nvectors
 from assoc2.poset import RankedPoset, _bits
 from assoc2.twoassoc import enumerate_Wn
@@ -282,6 +282,17 @@ def test_desk_audit_bytes_are_pinned(monkeypatch):
     memo = _RecordingMemo()
     monkeypatch.setattr(twoassoc, "_ENUM_CACHE", memo)
     completed, _ = _record_completions(monkeypatch)
+    calls = []
+
+    def recorded(name):
+        inner = getattr(audit, name)
+
+        def call(arg, *rest):
+            calls.append((name, arg))
+            return inner(arg, *rest)
+        return call
+    for name in ("enumerate_Kr", "enumerate_Wn"):
+        monkeypatch.setattr(audit, name, recorded(name))
     code, out = run(["audit", "--profile", "desk", "--format", "json"])
     assert code == 0
     assert json.loads(out)["summary"] == {"total": 1310, "passed": 1310, "failed": 0}
@@ -291,6 +302,10 @@ def test_desk_audit_bytes_are_pinned(monkeypatch):
     # 12 factors of the fiber products are enumerated in the worker, which this memo never sees
     assert sorted(memo.stored) == sorted(desk_nvectors()) and len(desk_nvectors()) == 59
     assert completed == Counter(desk_nvectors())
+    # the command's lane builds K_1..K_8 before its first W_n, so K_8 (its largest poset)
+    # is not built on top of what the per-n pass leaves behind
+    assert calls == [("enumerate_Kr", r) for r in range(1, 9)] + \
+        [("enumerate_Wn", n) for n in desk_nvectors()]
 
 
 def test_cd_index_call_leaves_no_poset_alive(monkeypatch):

@@ -1,13 +1,16 @@
 import ast
 import copy
+import gc
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import assoc2
 from assoc2 import twoassoc
-from assoc2.twoassoc import _table, enumerate_Wn, top_element, validate_two_bracketing
+from assoc2.twoassoc import (TwoBracket, _table, enumerate_Wn, face_two_bracketings, top_element,
+                             validate_two_bracketing)
 
 
 def test_no_assert_statements_in_the_package():
@@ -100,13 +103,29 @@ def test_the_generator_shares_no_code_with_validation_or_the_recurrence():
 
 def test_enumeration_leaves_no_validation_state_behind(monkeypatch):
     # the validation memo lives for one enumerate_Wn or validate_two_bracketing call:
-    # the table gains and changes no field, and no helper keeps a process-wide cache
+    # the table gains and changes no field, and no helper keeps a process-wide cache;
+    # the generator's screens memo goes with its enumeration too, so once W_n is
+    # dropped the only 2-brackets left alive are the tables' own
     n = (2, 1)
     table = _table(n)
     before = copy.deepcopy(vars(table))
-    monkeypatch.setattr(twoassoc, "_ENUM_CACHE", {})
-    enumerate_Wn(n)
-    assert validate_two_bracketing(top_element(n))
+    monkeypatch.setattr(twoassoc, "_ENUM_CACHE", weakref.WeakValueDictionary())
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()  # freed by reference counting alone, with no collection pending
+    try:
+        P = enumerate_Wn(n)
+        assert sum(1 for _face in face_two_bracketings(n)) == len(P)
+        del P
+        assert validate_two_bracketing(top_element(n))
+        # the tables' own 2-brackets, and the copies of one table's kept in `before`
+        owned = {id(x) for ids in [before["ids"], *(t.ids for t in twoassoc._TABLES.values())]
+                 for x in ids}
+        stray = [str(x) for x in gc.get_objects() if type(x) is TwoBracket and id(x) not in owned]
+        assert len(twoassoc._ENUM_CACHE) == 0 and stray == []
+    finally:
+        if enabled:
+            gc.enable()
     assert vars(table) == before
     for name in ("validate_two_bracketing", "_valid_face", "_bracketing_frame", "_node_ok",
                  "_decide_node", "_stack_ok", "_stack_ordered"):

@@ -288,9 +288,9 @@ def test_count_W_corolla2_values():
 
 def test_gen_fiber_rejects_mismatched_n():
     with pytest.raises(ValueError):
-        _gen_fiber(corolla(2), (1,), 0, (0,))
+        _gen_fiber(corolla(2), (1,), 0, (0,), {})
     with pytest.raises(ValueError):
-        _gen_fiber(corolla(2), (1, 1), 0, (0,))
+        _gen_fiber(corolla(2), (1, 1), 0, (0,), {})
 
 
 def _vector_compositions(n, parts):
@@ -402,33 +402,27 @@ def _sorted_faces(faces):
 def test_screen_stacks_match_the_composition_generator():
     for n in desk_nvectors() + [(3, 0, 2)]:
         for tree in trees_of_Kr(len(n)):
-            assert _sorted_faces(_gen_fiber(tree, n, 0, (0,) * len(n))) == \
+            assert _sorted_faces(_gen_fiber(tree, n, 0, (0,) * len(n), {})) == \
                 _sorted_faces(_composition_fiber(tree, n)), (tree_to_text(tree), n)
 
 
-def test_placed_fibers_are_the_origin_fibers_shifted(monkeypatch):
-    # every place the enumeration reaches, against the fiber at the origin moved there
-    places = set()
-    gen_fiber = twoassoc._gen_fiber
-
-    def recorded(*key):
-        places.add(key)
-        return gen_fiber(*key)
-
-    gen_fiber.cache_clear()
-    monkeypatch.setattr(twoassoc, "_gen_fiber", recorded)
+def test_placed_fibers_are_the_origin_fibers_shifted():
+    # every place the enumeration reaches, read from one shared screens memo, against
+    # the fiber at the origin moved there
+    screens = {}
     for n in desk_nvectors() + [(3, 0, 2)]:
         for tree in trees_of_Kr(len(n)):
-            twoassoc._gen_fiber(tree, n, 0, (0,) * len(n))
-    monkeypatch.undo()
-    assert gen_fiber.cache_info().currsize == len(places)
+            _gen_fiber(tree, n, 0, (0,) * len(n), screens)
+    places = list(screens)
+    # each place is generated once per memo: a second call returns the stored tuple
+    assert all(_gen_fiber(*key, screens) is screens[key] for key in places)
     # the fibers at the origin are pinned by the composition generator
     moved = [key for key in places if key[2] or any(key[3])]
     assert len(moved) > len(places) // 2
     for tree, q, line_off, offs in moved:
-        origin = gen_fiber(tree, q, 0, (0,) * len(q))
+        origin = _gen_fiber(tree, q, 0, (0,) * len(q), screens)
         shifted = [(_shift(fs, line_off, offs), d) for fs, d in origin]
-        assert _sorted_faces(gen_fiber(tree, q, line_off, offs)) == _sorted_faces(shifted), \
+        assert _sorted_faces(screens[tree, q, line_off, offs]) == _sorted_faces(shifted), \
             (tree_to_text(tree), q, line_off, offs)
 
 
@@ -437,9 +431,9 @@ def test_a_face_listing_one_2_bracket_twice_is_a_verification_error(monkeypatch)
     monkeypatch.setattr(twoassoc, "max_two_bracket",
                         lambda n, line_off, offs: point_singleton(line_off + 1, offs[0] + 1))
     with pytest.raises(VerificationError, match="lists one 2-bracket twice"):
-        _gen_fiber(corolla(2), (1, 0), 3, (2, 0))
+        _gen_fiber(corolla(2), (1, 0), 3, (2, 0), {})
     monkeypatch.undo()
-    assert [len(fs) for fs, _d in _gen_fiber(corolla(2), (1, 0), 3, (2, 0))] == [2]
+    assert [len(fs) for fs, _d in _gen_fiber(corolla(2), (1, 0), 3, (2, 0), {})] == [2]
 
 
 def _cmp_stack_ordered(group):
@@ -766,7 +760,7 @@ def test_enumeration_interns_each_reference_once_and_builds_no_face_object(monke
         init(self, *args)
 
     references = sum(len(fs) for tree in trees_of_Kr(len(n))
-                     for fs, _d in _gen_fiber(tree, n, 0, (0,) * len(n)))
+                     for fs, _d in _gen_fiber(tree, n, 0, (0,) * len(n), {}))
     monkeypatch.setattr(twoassoc, "_ENUM_CACHE", {})
     monkeypatch.setattr(_TwoBracketTable, "intern", counted_intern)
     monkeypatch.setattr(TwoBracketing, "__init__", counted_init)
