@@ -191,18 +191,22 @@ def bounded_graded_family(max_elements: int = 6, min_rank: int = -1) -> list[ps.
     non-graded ones, where a cover does not raise rank by one) are dropped.
     """
     if max_elements > 12:
-        # the down-sets follow the label order bot < m0 < ... < m9 < top
+        # the down-sets follow (rank, label) order, where m0 < ... < m9 sort as their indices
         raise ValueError(f"max_elements {max_elements} is above 12: more than ten middles")
     out = []
     for size in range(0, max_elements - 1):
-        labels = ["bot"] + [f"m{i}" for i in range(size)] + ["top"]
         everything = (1 << (size + 2)) - 1
         for below in _all_middle_posets(size):
             height = [0] * size
             for i in sorted(range(size), key=lambda i: below[i].bit_count()):
                 height[i] = 1 + max((height[j] for j in ps._bits(below[i])), default=0)
-            heights = [0] + height + [1 + max(height, default=0)]
-            down = [1] + [1 | (below[i] | 1 << i) << 1 for i in range(size)] + [everything]
+            # the ids in (rank, label) order: bot, the middles by height, then top
+            order = sorted(range(size), key=lambda i: (height[i], i))
+            place = {i: p for p, i in enumerate(order, start=1)}
+            labels = ["bot"] + [f"m{i}" for i in order] + ["top"]
+            heights = [0] + [height[i] for i in order] + [1 + max(height, default=0)]
+            down = [1] + [sum((1 << place[j] for j in ps._bits(below[i])), 1 | 1 << place[i])
+                          for i in order] + [everything]
             ranked = {lab: h + min_rank for lab, h in zip(labels, heights)}
             try:
                 out.append(ps.RankedPoset.from_down_sets(ranked, down))

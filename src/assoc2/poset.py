@@ -5,15 +5,16 @@ exactly one.  Provides interval alternating sums, Moebius values, Eulerian
 verification, completion by a formal minimum, reduced and fiber products, flag
 f/h-vectors and the cd-index, plus byte-stable JSON and DOT export.
 
-Elements are interned to dense integer ids in sorted label order, so every
-derived report is reproducible.
+Elements are interned to dense integer ids in (rank, label) order, so the ids
+are a linear extension of the order and each rank layer is an id range; label
+order appears only at the edges, in the exports and the sorted failure lists,
+so every derived report is reproducible.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from bisect import bisect
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import prod
@@ -40,67 +41,75 @@ class RankedPoset:
     The order is the reflexive-transitive closure of covers that raise rank by
     exactly one, given as label pairs or read off down-sets (from_down_sets).
     A poset stores its down-set rows and upper-cover lists; the up-set rows and
-    the sorted cover pairs are derived from them when first read.
+    the sorted cover pairs are derived from them when first read.  Ids follow
+    (rank, label) order, so every element below i has a smaller id: down[i]
+    has no bit above i, and up[i] is stored from bit i on (bit k is i + k).
     """
 
     def __init__(self, ranked_labels: Mapping[str, int], covers: Iterable[tuple[str, str]],
                  meta: Mapping[str, object] | None = None):
-        self._elements(ranked_labels, meta)
-        index, labels, ranks = self._index, self.labels, self.ranks
-        lower = [0] * len(labels)  # lower[j]: the mask of j's lower covers
+        self._elements(*_id_order(ranked_labels), meta)
+        index, ranks = self._index, self.ranks
+        lower = [0] * len(ranks)  # lower[j]: the mask of j's lower covers
         skips = []
         try:
             for lo, hi in covers:
                 i, j = index[lo], index[hi]
                 if ranks[j] != ranks[i] + 1:
-                    skips.append((i, j))
+                    skips.append((lo, hi, ranks[i], ranks[j]))
                 lower[j] |= 1 << i
         except KeyError as exc:
             raise PosetError(f"cover names {exc.args[0]!r}, which is no element") from None
         if skips:
-            i, j = min(skips)
-            raise PosetError(f"cover {labels[i]!r} -> {labels[j]!r} must raise rank by 1 "
-                             f"(got {ranks[i]} -> {ranks[j]})")
+            lo, hi, r_lo, r_hi = min(skips)  # the first by label pair
+            raise PosetError(f"cover {lo!r} -> {hi!r} must raise rank by 1 "
+                             f"(got {r_lo} -> {r_hi})")
         self._close(lower=lower)
 
-    def _elements(self, ranked_labels: Mapping[str, int],
+    def _elements(self, labels: Sequence[str], ranks: Sequence[int],
                   meta: Mapping[str, object] | None) -> None:
-        """Intern the labels in sorted order; set their ranks and rank layers."""
-        labels = sorted(ranked_labels)
-        if len(labels) != len(set(labels)):
-            raise PosetError("duplicate element labels")
+        """Intern the labels, given in (rank, label) order with their ranks; set the
+        rank layers, each layer the mask of one id range."""
         if not labels:
             raise PosetError("empty poset")
         self.labels: tuple[str, ...] = tuple(labels)
         self._index = {lab: i for i, lab in enumerate(labels)}
-        self.ranks: tuple[int, ...] = tuple(ranked_labels[lab] for lab in labels)
+        if len(self._index) != len(labels):
+            raise PosetError("duplicate element labels")
+        self.ranks: tuple[int, ...] = tuple(ranks)
         self.meta = dict(meta) if meta else {}
 
-        rk_masks: dict[int, int] = {}
-        for i, r in enumerate(self.ranks):
-            rk_masks[r] = rk_masks.get(r, 0) | (1 << i)
-        self._rank_masks = sorted(rk_masks.items())
+        ranks, n = self.ranks, len(labels)
+        starts = [i for i in range(n) if i == 0 or ranks[i] != ranks[i - 1]] + [n]
+        self._rank_masks = [(ranks[lo], (1 << hi) - (1 << lo))
+                            for lo, hi in zip(starts, starts[1:])]
         # the rank masks are disjoint, so their sums are unions
         self._even = sum(m for r, m in self._rank_masks if r % 2 == 0)
         self._odd = sum(m for r, m in self._rank_masks if r % 2)
 
     def _close(self, down: Sequence[int] | None = None,
                lower: Sequence[int] | None = None) -> None:
-        """One pass in rank order: element j's covers, the mask lower[j] or else down[j]
-        on the layer one rank lower, get j in their (so increasing) upper lists, and
-        j's bit joined with their rows fills j's row, or must equal the given one."""
-        labels, layers = self.labels, dict(self._rank_masks)
+        """One pass in id order, which is rank order: element j's covers, the mask
+        lower[j] or else down[j], cut to the layer one rank lower, get j in their (so
+        increasing) upper lists, and j's bit joined with their rows fills j's row, or
+        must equal the given one.  The layer below is the id range from `base`, of
+        width `width`, and a cover mask is read from bit `base` on."""
+        labels = self.labels
         upper = [[] for _ in labels]
         closed = [0] * len(labels) if down is None else list(down)
         minimal = 0
+        prev, base, width = None, 0, 0
         for r, layer in self._rank_masks:
-            below = layers.get(r - 1, 0)
-            for j in _bits(layer):
-                covers = closed[j] & below if lower is None else lower[j]
+            lo, hi = _span(layer)
+            if prev != r - 1:  # no layer one rank lower
+                base, width = lo, 0
+            cut = (1 << width) - 1
+            for j in range(lo, hi):
+                covers = (closed[j] if lower is None else lower[j]) >> base & cut
                 m = 1 << j
-                for i in _bits(covers):
-                    m |= closed[i]
-                    upper[i].append(j)
+                for k in _bits(covers):
+                    m |= closed[base + k]
+                    upper[base + k].append(j)
                 if not covers:
                     minimal |= 1 << j
                 if down is None:
@@ -108,6 +117,7 @@ class RankedPoset:
                 elif m != closed[j]:
                     raise PosetError(f"order is not the closure of rank-adjacent covers below "
                                      f"{labels[j]!r} (a relation skips a rank, or is not transitive)")
+            prev, base, width = r, lo, hi - lo
         self._upper, self._down, self._minimal = upper, closed, minimal
         self._maximal = sum(1 << i for i, up in enumerate(upper) if not up)
 
@@ -118,12 +128,14 @@ class RankedPoset:
 
     @cached_property
     def _up(self) -> list[int]:
-        """Up-set masks, filled from the covers in reverse rank order."""
+        """Up-set rows, each stored from its own id: bit k of up[i] is element i + k.
+        Filled from the covers in reverse id order, as every element above i has a
+        larger id."""
         up = [0] * len(self.labels)
-        for i in sorted(range(len(up)), key=self.ranks.__getitem__, reverse=True):
-            m = 1 << i
+        for i in range(len(up) - 1, -1, -1):
+            m = 1
             for j in self._upper[i]:
-                m |= up[j]
+                m |= up[j] << (j - i)
             up[i] = m
         return up
 
@@ -139,15 +151,17 @@ class RankedPoset:
         whose rank does not increase is never seen: callers must pass orders
         that raise rank.  See from_down_sets for the covers and the closure check.
         """
-        labels = sorted(ranked_labels)
+        labels, ranks = _id_order(ranked_labels)
         n = len(labels)
         down = [1 << i for i in range(n)]
+        above = 0  # the first id of a higher rank than a's
         for a in range(n):
-            ra = ranked_labels[labels[a]]
-            for b in range(n):
-                if ranked_labels[labels[b]] > ra and leq(labels[a], labels[b]):
+            while above < n and ranks[above] <= ranks[a]:
+                above += 1
+            for b in range(above, n):
+                if leq(labels[a], labels[b]):
                     down[b] |= 1 << a
-        return cls.from_down_sets(ranked_labels, down, meta)
+        return cls._from_rows(labels, ranks, down, meta)
 
     @classmethod
     def from_item_masks(cls, ranked_labels: Mapping[str, int], masks: Mapping[str, int],
@@ -156,22 +170,22 @@ class RankedPoset:
 
         a <= b when every item of b is an item of a.  With holders[k] the
         elements holding item k, the down-set of b is the AND of holders[k]
-        over b's items; see from_down_sets for the covers and the closure
-        check.
+        over b's items, stored tight (_tight); see from_down_sets for the
+        covers and the closure check.
         """
-        labels = sorted(ranked_labels)
+        labels, ranks = _id_order(ranked_labels)
         holders = [0] * max(masks.values(), default=0).bit_length()
         for i, lab in enumerate(labels):
             for k in _bits(masks[lab]):
                 holders[k] |= 1 << i
         everything = (1 << len(labels)) - 1
         down = []
-        for lab in labels:
+        for i, lab in enumerate(labels):
             d = everything
             for k in _bits(masks[lab]):
                 d &= holders[k]
-            down.append(d)
-        return cls.from_down_sets(ranked_labels, down, meta)
+            down.append(_tight(d, i))
+        return cls._from_rows(labels, ranks, down, meta)
 
     @classmethod
     def from_down_sets(cls, ranked_labels: Mapping[str, int], down: Sequence[int],
@@ -179,14 +193,23 @@ class RankedPoset:
         """Build from each element's down-set; covers are read off.
 
         down[i] is the mask of the elements at or below element i, itself
-        included, over the sorted labels.  They go straight to _close, whose one
-        rank-order pass reads element i's covers as down[i] on the layer one rank
-        lower: their closure must give back every down-set, which the poset keeps.
+        included, where element i is the i-th label in (rank, label) order and
+        so has no element of its rank or above in a valid down-set.  They go
+        straight to _close, whose one pass in id order reads element i's covers
+        off down[i] on the id range of the layer one rank lower: their closure
+        must give back every down-set, which the poset keeps.  A down-set with a
+        bit above its own id never equals that closure and is rejected.
         """
+        return cls._from_rows(*_id_order(ranked_labels), down, meta)
+
+    @classmethod
+    def _from_rows(cls, labels: Sequence[str], ranks: Sequence[int], down: Sequence[int],
+                   meta: Mapping[str, object] | None) -> "RankedPoset":
+        """from_down_sets on labels already in (rank, label) order, with their ranks."""
         P = cls.__new__(cls)
-        P._elements(ranked_labels, meta)
-        if len(down) != len(P.labels):
-            raise PosetError(f"{len(down)} down-sets for {len(P.labels)} elements")
+        P._elements(labels, ranks, meta)
+        if len(down) != len(labels):
+            raise PosetError(f"{len(down)} down-sets for {len(labels)} elements")
         P._close(down)
         return P
 
@@ -205,25 +228,27 @@ class RankedPoset:
         return {r: m.bit_count() for r, m in self._rank_masks}
 
     def leq(self, x: str, y: str) -> bool:
-        return bool(self._up[self._index[x]] >> self._index[y] & 1)
+        return bool(self._down[self._index[y]] >> self._index[x] & 1)
 
     def _interval_mask(self, i: int, j: int) -> int:
-        if not (self._up[i] >> j) & 1:
+        """The closed interval [i, j] from bit i on: bit k is element i + k."""
+        if not self._down[j] >> i & 1:
             raise PosetError(f"elements {self.labels[i]!r}, {self.labels[j]!r} "
                              "are not an increasing comparable pair")
-        return self._up[i] & self._down[j]
+        return self._down[j] >> i & self._up[i]
 
     def minimal_elements(self) -> list[str]:
-        return [self.labels[i] for i in _bits(self._minimal)]
+        return sorted(self.labels[i] for i in _bits(self._minimal))
 
     def maximal_elements(self) -> list[str]:
-        return [self.labels[i] for i in _bits(self._maximal)]
+        return sorted(self.labels[i] for i in _bits(self._maximal))
 
     # --- alternating sums and Eulerian verification ---
 
     def alternating_sum(self, x: str, y: str) -> int:
         """Signed count sum((-1)^rank(z)) over the closed interval [x, y]."""
-        return self._signed(self._interval_mask(self._index[x], self._index[y]))
+        i = self._index[x]
+        return self._signed(self._interval_mask(i, self._index[y]) << i)
 
     def _signed(self, mask: int) -> int:
         return (mask & self._even).bit_count() - (mask & self._odd).bit_count()
@@ -239,73 +264,87 @@ class RankedPoset:
         return all(ranks[j] == ranks[i] + 1 for i, up in enumerate(self._upper) for j in up)
 
     def verify_eulerian(self) -> "EulerianReport":
-        """Check balance of every nontrivial interval [x, y], x < y."""
+        """Check balance of every nontrivial interval [x, y], x < y.
+
+        Interval masks are read from bit i on, against the parity masks
+        shifted alike; the unbalanced intervals come sorted by label pair.
+        """
         unbalanced = []
         checked = 0
-        n = len(self.labels)
-        for i in range(n):
-            above = self._up[i] & ~(1 << i)
-            for j in _bits(above):
+        labels, down = self.labels, self._down
+        for i, row in enumerate(self._up):
+            even, odd = self._even >> i, self._odd >> i
+            for k in _bits(row & ~1):
                 checked += 1
-                s = self._signed(self._up[i] & self._down[j])
+                m = down[i + k] >> i & row
+                s = (m & even).bit_count() - (m & odd).bit_count()
                 if s != 0:
-                    unbalanced.append((self.labels[i], self.labels[j], s))
+                    unbalanced.append((labels[i], labels[i + k], s))
         return EulerianReport(graded=self.is_graded(), pairs_checked=checked,
-                              unbalanced=tuple(unbalanced))
+                              unbalanced=tuple(sorted(unbalanced)))
 
     def diamond_failures(self) -> list[tuple[str, str, int]]:
-        """Rank-2 intervals whose open part has != 2 elements."""
+        """Rank-2 intervals whose open part has != 2 elements, sorted by label pair."""
         bad = []
-        layer = dict(self._rank_masks)
+        labels, down, up = self.labels, self._down, self._up
+        layers = {r: _span(m) for r, m in self._rank_masks}
         for i, r in enumerate(self.ranks):
-            up = self._up[i]
-            for j in _bits(up & layer.get(r + 2, 0)):
-                middles = (up & self._down[j]).bit_count() - 2
+            if r + 2 not in layers:
+                continue
+            lo, hi = layers[r + 2]
+            row = up[i]
+            for k in _bits((row >> (lo - i)) & ((1 << (hi - lo)) - 1)):
+                middles = (down[lo + k] >> i & row).bit_count() - 2
                 if middles != 2:
-                    bad.append((self.labels[i], self.labels[j], middles))
-        return bad
+                    bad.append((labels[i], labels[lo + k], middles))
+        return sorted(bad)
 
     def mobius_failures(self) -> list[tuple[str, str, int]]:
-        """Pairs x <= y with mu(x, y) != (-1)^(rank y - rank x), and their mu."""
+        """Pairs x <= y with mu(x, y) != (-1)^(rank y - rank x), and their mu,
+        sorted by label pair."""
         bad = []
-        for i, ri in enumerate(self.ranks):
-            row = self._mobius_row(i, self._up[i])
-            # the classes and the rank masks are disjoint, so the sum is a union
-            wrong = sum(m & rm for mu, m in row.items() for r, rm in self._rank_masks
-                        if mu != (-1) ** ((r - ri) % 2))
-            for j in _bits(wrong):
-                bad.append((self.labels[i], self.labels[j], _grouped_sum(1 << j, row)))
-        return bad
+        labels = self.labels
+        for i, row_mask in enumerate(self._up):
+            row = self._mobius_row(i, row_mask)
+            same, other = self._even >> i, self._odd >> i  # from bit i on, by parity
+            if self.ranks[i] % 2:
+                same, other = other, same
+            # a class is wrong where its value is not (-1)^(rank - rank i): +1 off
+            # i's rank parity, -1 on it, any other value everywhere (& -1 keeps all);
+            # the classes are disjoint, so the sum is a union
+            wrong_at = {1: other, -1: same}
+            wrong = sum(m & wrong_at.get(mu, -1) for mu, m in row.items())
+            for k in _bits(wrong):
+                bad.append((labels[i], labels[i + k], _grouped_sum(1 << k, row)))
+        return sorted(bad)
 
     def mobius(self, x: str, y: str) -> int:
         """Moebius value mu(x, y) by the recursion over the interval [x, y]."""
         i, j = self._index[x], self._index[y]
-        return _grouped_sum(1 << j, self._mobius_row(i, self._interval_mask(i, j)))
+        return _grouped_sum(1 << (j - i), self._mobius_row(i, self._interval_mask(i, j)))
 
     def _mobius_row(self, i: int, mask: int) -> dict[int, int]:
-        """mu(i, t) for every t in mask, a down-closed part of i's up-set, as value
-        classes: each value maps to the mask of the elements that take it.  Filled
-        in rank order, as t's down-set holds no other element of t's rank."""
-        row = {1: 1 << i}
-        rest = mask & ~(1 << i)
-        for _, rm in self._rank_masks:
-            for t in _bits(rest & rm):
-                mu = -_grouped_sum(self._down[t], row)
-                row[mu] = row.get(mu, 0) | 1 << t
+        """mu(i, i + k) for every bit k of mask, a down-closed part of i's up row
+        read from bit i on, as value classes: each value maps to the mask, from bit
+        i on, of the elements that take it.  Filled in id order, which reaches
+        every element below i + k before i + k."""
+        row = {1: 1}
+        down = self._down
+        for k in _bits(mask & ~1):
+            mu = -_grouped_sum(down[i + k] >> i, row)
+            row[mu] = row.get(mu, 0) | 1 << k
         return row
 
     # --- structural operations ---
 
     def complete_with_min(self, label: str = "0^") -> "RankedPoset":
-        """Adjoin a formal minimum one rank below the lowest, under every element."""
+        """Adjoin a formal minimum one rank below the lowest, under every element.
+        It comes first in (rank, label) order: it is id 0 and every id moves up one."""
         if label in self._index:
             raise PosetError(f"label {label!r} already present")
-        p = bisect(self.labels, label)  # the new label's sorted place
-        below, bit = (1 << p) - 1, 1 << p
-        down = [d & below | (d >> p) << (p + 1) | bit for d in self._down]
-        down.insert(p, bit)
-        ranked = {**dict(zip(self.labels, self.ranks)), label: min(self.ranks) - 1}
-        return RankedPoset.from_down_sets(ranked, down, self.meta)
+        down = [1] + [d << 1 | 1 for d in self._down]
+        return RankedPoset._from_rows((label, *self.labels), (self.ranks[0] - 1, *self.ranks),
+                                      down, self.meta)
 
     def relabel(self, mapping: Mapping[str, str]) -> "RankedPoset":
         """The same order under new labels; mapping must send the labels one to one."""
@@ -334,11 +373,18 @@ class RankedPoset:
 
     # --- export ---
 
+    def _label_order(self) -> tuple[list[int], dict[int, int]]:
+        """The ids in sorted label order, and each id's place in it: the exports
+        number the elements by that place."""
+        order = sorted(range(len(self.labels)), key=self.labels.__getitem__)
+        return order, {i: p for p, i in enumerate(order)}
+
     def to_json_dict(self) -> dict:
+        order, place = self._label_order()
         return {
-            "elements": [{"id": i, "rank": self.ranks[i], "label": self.labels[i]}
-                         for i in range(len(self.labels))],
-            "covers": [[i, j] for i, j in self.cover_pairs],
+            "elements": [{"id": p, "rank": self.ranks[i], "label": self.labels[i]}
+                         for p, i in enumerate(order)],
+            "covers": sorted([place[i], place[j]] for i, j in self.cover_pairs),
         }
 
     def to_json(self) -> str:
@@ -373,14 +419,16 @@ class RankedPoset:
 
     def to_dot(self, name: str = "hasse") -> str:
         """Hasse diagram in DOT format with one layer per rank."""
+        order, place = self._label_order()
         lines = [f"digraph {name} {{", "  rankdir=BT;", "  node [shape=box];"]
-        for i, lab in enumerate(self.labels):
-            lines.append(f'  n{i} [label="{_dot_escape(lab)}"];')
-        for r, m in self._rank_masks:
-            ids = "; ".join(f"n{i}" for i in _bits(m))
+        for p, i in enumerate(order):
+            lines.append(f'  n{p} [label="{_dot_escape(self.labels[i])}"];')
+        for _, m in self._rank_masks:
+            # a layer's ids are in label order, so their places increase
+            ids = "; ".join(f"n{place[i]}" for i in range(*_span(m)))
             lines.append(f"  {{ rank=same; {ids}; }}")
-        for i, j in self.cover_pairs:
-            lines.append(f"  n{i} -> n{j};")
+        for p, q in sorted((place[i], place[j]) for i, j in self.cover_pairs):
+            lines.append(f"  n{p} -> n{q};")
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -401,6 +449,26 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _id_order(ranked_labels: Mapping[str, int]) -> tuple[list[str], list[int]]:
+    """The labels in (rank, label) order, the order of element ids and mask bits,
+    and their ranks."""
+    labels = sorted(sorted(ranked_labels), key=ranked_labels.__getitem__)  # stable
+    return labels, [ranked_labels[lab] for lab in labels]
+
+
+def _span(layer: int) -> tuple[int, int]:
+    """(first id, end id) of a rank layer's mask, which is one id range."""
+    return (layer & -layer).bit_length() - 1, layer.bit_length()
+
+
+def _tight(row: int, i: int) -> int:
+    """Down row i held in as few digits as its value needs.  An AND keeps the
+    digits of its narrower operand even where they turn zero, so a row that has
+    no bit above i is copied by a mask of i + 1 bits; a row with a higher bit is
+    kept whole, for the closure check to reject."""
+    return row & ((1 << (i + 1)) - 1) if row.bit_length() <= i + 1 else row
 
 
 def _grouped_sum(mask: int, classes: Mapping[int, int]) -> int:
@@ -466,7 +534,8 @@ def fiber_product(posets: Sequence[RankedPoset], base: RankedPoset,
     Elements are tuples with equal image, ordered componentwise; the rank of a
     tuple is sum(rank_i) - (k-1) * rank(common image).  A tuple's down-set is
     the AND over coordinates c of the tuples whose c-th coordinate lies below
-    its own.  Construction fails if those down-sets are not the closure of
+    its own, taken in one pass per tuple and stored tight (_tight): each
+    coordinate's row spans the whole product.  Construction fails if those down-sets are not the closure of
     their rank-one covers, as when two comparable tuples share a rank.  A
     tuple's label joins its coordinates' labels with commas; two tuples that
     get one label raise PosetError.  Above DEFAULT_MAX_ELEMENTS tuples,
@@ -508,16 +577,21 @@ def fiber_product(posets: Sequence[RankedPoset], base: RankedPoset,
     if not ranked:
         raise PosetError("fiber product is empty")
 
-    coords = [tuples[lab] for lab in sorted(ranked)]
-    down = [(1 << len(coords)) - 1] * len(coords)
+    labels, ranks = _id_order(ranked)
+    coords = [tuples[lab] for lab in labels]
+    unders = []  # unders[c][x]: the tuples whose c-th coordinate lies at or below x
     for c, P in enumerate(posets):
         at = [0] * len(P)  # at[x]: the tuples whose c-th coordinate is x
         for i, tup in enumerate(coords):
             at[tup[c]] |= 1 << i
-        under = [sum(at[z] for z in _bits(dx)) for dx in P._down]  # disjoint: sums are unions
-        for i, tup in enumerate(coords):
-            down[i] &= under[tup[c]]
-    return RankedPoset.from_down_sets(ranked, down)
+        unders.append([sum(at[z] for z in _bits(dx)) for dx in P._down])  # disjoint: unions
+    down = []
+    for i, tup in enumerate(coords):
+        row = unders[0][tup[0]]
+        for under, x in zip(unders[1:], tup[1:]):
+            row &= under[x]
+        down.append(_tight(row, i))
+    return RankedPoset._from_rows(labels, ranks, down, None)
 
 
 # --- flag vectors and the cd-index ---
@@ -582,15 +656,13 @@ def cd_weight(word: str) -> int:
     return sum(1 if ch == "c" else 2 for ch in word)
 
 
-def _bounded_graded_data(P: RankedPoset) -> tuple[str, str, int, dict[int, list[int]]]:
+def _bounded_graded_data(P: RankedPoset) -> tuple[str, str, int, dict[int, range]]:
     bot, top = P.unique_min(), P.unique_max()
     if not P.is_graded():
         raise PosetError("poset is not graded")
     span = P.rank_of(top) - P.rank_of(bot)
     shift = -P.rank_of(bot)
-    layers: dict[int, list[int]] = {}
-    for i, r in enumerate(P.ranks):
-        layers.setdefault(r + shift, []).append(i)
+    layers = {r + shift: range(*_span(m)) for r, m in P._rank_masks}
     if sorted(layers) != list(range(span + 1)):
         raise PosetError("rank layers are not consecutive")
     return bot, top, span, layers

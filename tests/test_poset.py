@@ -3,7 +3,9 @@ import gc
 import itertools
 import random
 import re
+import sys
 import time
+import tracemalloc
 import weakref
 from collections import Counter
 
@@ -79,10 +81,11 @@ def test_from_down_sets_rejects_an_order_its_covers_do_not_close_to(ranked, down
 
 
 def test_from_down_sets_names_the_lowest_ranked_bad_row():
-    # 'a' skips a rank and 'b' leaves itself out; rows are checked in rank order
+    # 'a' skips a rank and 'b' leaves itself out; rows are checked in rank order.  The
+    # bits follow (rank, label) order: c is bit 0, b bit 1, a bit 2
     with pytest.raises(PosetError, match="^order is not the closure of rank-adjacent "
                                          "covers below 'b'"):
-        RankedPoset.from_down_sets({"a": 2, "b": 1, "c": 0}, [0b101, 0b100, 0b100])
+        RankedPoset.from_down_sets({"a": 2, "b": 1, "c": 0}, [0b001, 0b001, 0b101])
 
 
 def test_from_down_sets_keeps_the_rows_it_checks():
@@ -107,7 +110,7 @@ def test_constructor_rejects_a_cover_that_names_no_element():
 
 def test_relabel_keeps_the_order():
     P = diamond().relabel({"bot": "0", "a": "x", "b": "y", "top": "1"})
-    assert P.labels == ("0", "1", "x", "y")
+    assert P.labels == ("0", "x", "y", "1")
     assert P.leq("0", "1") and not P.leq("x", "y") and P.mobius("0", "1") == 1
 
 
@@ -228,8 +231,12 @@ def test_graded_family_refuses_more_than_ten_middles():
 
 
 def test_interning_is_sorted_by_label():
+    # ids follow (rank, label) order; the export numbers the elements in label order
     P = RankedPoset({"z": 0, "a": 0, "m": 1}, [("a", "m"), ("z", "m")])
-    assert P.labels == ("a", "m", "z")
+    assert P.labels == ("a", "z", "m")
+    doc = P.to_json_dict()
+    assert [(e["id"], e["label"]) for e in doc["elements"]] == [(0, "a"), (1, "m"), (2, "z")]
+    assert doc["covers"] == [[0, 1], [2, 1]]
     assert P.to_json() == P.to_json()
 
 
@@ -338,7 +345,7 @@ def test_completed_Wn_is_a_lattice(n):
     # incomparable pair, the lowest layer of the common upper bounds is one element z,
     # and every common upper bound lies above z
     P = enumerate_Wn(n).complete_with_min("F^min")
-    up, down = P._up, P._down
+    up, down = [u << i for i, u in enumerate(P._up)], P._down
     layers = [m for _, m in P._rank_masks]
     for i in range(len(P)):
         for j in _bits(~(up[i] | down[i]) & ((1 << len(P)) - 1) & ~((1 << i) - 1)):
@@ -372,12 +379,13 @@ def _diamond_failures_over_the_up_set(P):
     """diamond_failures as it was: the whole up-set of each element, filtered by rank."""
     bad = []
     for i in range(len(P)):
-        for j in _bits(P._up[i]):
+        up = P._up[i] << i
+        for j in _bits(up):
             if P.ranks[j] == P.ranks[i] + 2:
-                middles = (P._up[i] & P._down[j]).bit_count() - 2
+                middles = (up & P._down[j]).bit_count() - 2
                 if middles != 2:
                     bad.append((P.labels[i], P.labels[j], middles))
-    return bad
+    return sorted(bad)
 
 
 def test_diamond_sweep_reads_the_layer_two_ranks_up():
@@ -420,12 +428,12 @@ def _per_element_mobius_failures(P):
     """mobius_failures as it was, over the per-element rows."""
     bad = []
     for i in range(len(P)):
-        row = _per_element_mobius_row(P, i, P._up[i])
-        for j in _bits(P._up[i]):
+        row = _per_element_mobius_row(P, i, P._up[i] << i)
+        for j in _bits(P._up[i] << i):
             mu = row[j]
             if mu != (-1) ** (P.ranks[j] - P.ranks[i]):
                 bad.append((P.labels[i], P.labels[j], mu))
-    return bad
+    return sorted(bad)
 
 
 def test_mobius_value_classes_match_the_per_element_rows():
@@ -434,14 +442,15 @@ def test_mobius_value_classes_match_the_per_element_rows():
     assert any(mu not in (-1, 0, 1) for P in posets for _, _, mu in P.mobius_failures())
     for P in posets:
         for i in range(len(P)):
-            row = P._mobius_row(i, P._up[i])
+            row = P._mobius_row(i, P._up[i])  # both read from bit i on
             # the classes partition the up-set, each element under its own value
             assert sum(m.bit_count() for m in row.values()) == P._up[i].bit_count()
-            assert {j: mu for mu, m in row.items() for j in _bits(m)} \
-                == _per_element_mobius_row(P, i, P._up[i])
+            assert {i + k: mu for mu, m in row.items() for k in _bits(m)} \
+                == _per_element_mobius_row(P, i, P._up[i] << i)
         assert P.mobius_failures() == _per_element_mobius_failures(P)
         i, j = P.index(P.unique_min()), P.index(P.unique_max())
-        assert P.mobius(P.labels[i], P.labels[j]) == _per_element_mobius_row(P, i, P._up[i])[j]
+        assert P.mobius(P.labels[i], P.labels[j]) \
+            == _per_element_mobius_row(P, i, P._up[i] << i)[j]
 
 
 def test_mobius_failures_match_the_per_element_sweep_on_completed_wn():
@@ -681,7 +690,7 @@ def test_the_audit_fiber_family_needs_no_relabeling(monkeypatch):
                 FP, ref = fiber_product(plain, K, pis), fiber_product(posets, K, maps)
                 iso = {name(tup, True): name(tup, False)
                        for tup in _fiber_tuples(plain, K, pis)[1].values()}
-                assert sorted(iso[lab] for lab in ref.labels) == list(FP.labels)
+                assert sorted(iso[lab] for lab in ref.labels) == sorted(FP.labels)
                 assert all(ref.rank_of(lab) == FP.rank_of(iso[lab]) for lab in ref.labels)
                 assert ({(iso[ref.labels[i]], iso[ref.labels[j]]) for i, j in ref.cover_pairs}
                         == {(FP.labels[i], FP.labels[j]) for i, j in FP.cover_pairs})
@@ -821,7 +830,8 @@ def test_sweeps_leave_the_poset_unchanged():
 
 def _eager_close(labels, ranks, cover_pairs, down=None):
     """RankedPoset._close as it was when it built every row at construction:
-    the sorted cover pairs, the up- and down-set rows and the minimal and
+    the sorted cover pairs, the up-set rows (each shifted down to start at its
+    own id, as the poset stores them), the down-set rows and the minimal and
     maximal masks.  Its checks are left out; it only runs where _close passed."""
     cover_pairs = tuple(sorted(cover_pairs))
     n = len(labels)
@@ -846,7 +856,7 @@ def _eager_close(labels, ranks, cover_pairs, down=None):
         for j in up_adj[i]:
             m |= up[j]
         up[i] = m
-    return cover_pairs, up, closed, minimal, maximal
+    return cover_pairs, [m >> i for i, m in enumerate(up)], closed, minimal, maximal
 
 
 @pytest.fixture
@@ -929,6 +939,60 @@ def test_built_posets_derive_up_rows_and_covers_only_when_read(monkeypatch):
     assert "cover_pairs" in vars(completed)
 
 
+def _desk_product_of_4913():
+    """The desk's largest fiber product: W_(2,1) cubed over the point K_2."""
+    W = enumerate_Wn((2, 1))
+    return fiber_product([W] * 3, enumerate_Kr(2), [W.meta["pi"]] * 3)
+
+
+def _Wn_302_and_its_completion():
+    W = enumerate_Wn((3, 0, 2))
+    return [W, W.complete_with_min("F^min")]
+
+
+@pytest.mark.parametrize("build", [
+    _Wn_302_and_its_completion, lambda: [enumerate_Kr(6)], lambda: [_desk_product_of_4913()],
+    lambda: bounded_graded_family(6),
+], ids=["W_302-and-completion", "K_6", "desk-product-4913", "graded-family"])
+def test_rows_follow_the_rank_label_ids(build):
+    # ids are a linear extension: no down row reaches above its own id, and each up
+    # row is the up-set (read off the down rows) shifted down to start at its id
+    for P in build():
+        assert P.labels == tuple(sorted(P.labels, key=lambda lab: (P.rank_of(lab), lab)))
+        assert all(d.bit_length() <= i + 1 for i, d in enumerate(P._down))
+        up = [0] * len(P)
+        for j, d in enumerate(P._down):
+            for i in _bits(d):
+                up[i] |= 1 << j
+        assert P._up == [u >> i for i, u in enumerate(up)]
+
+
+def test_the_completion_puts_its_minimum_first_and_grows_each_row_by_one_bit():
+    W, C = _Wn_302_and_its_completion()
+    assert C.labels[0] == "F^min" and C.index("F^min") == 0 and C.labels[1:] == W.labels
+    # each row gains one bit at the bottom, not one at the top of the whole poset
+    rows = sum(map(sys.getsizeof, C._down))
+    assert rows <= sum(map(sys.getsizeof, W._down)) + len(C) * sys.getsizeof(1)
+
+
+def test_fiber_product_rows_are_stored_tight():
+    # an AND keeps the digits of its narrower operand, which for a product row is as
+    # wide as the whole product; the stored rows must take what their values need
+    tracemalloc.start()
+    try:
+        FP = _desk_product_of_4913()
+        rows = list(FP._down)
+        del FP
+        needed = sum(sys.getsizeof(r) for r in rows if r > 256)  # smaller ones are shared
+        before = tracemalloc.get_traced_memory()[0] - sys.getsizeof(rows)
+        del rows
+        held = before - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert needed > 1_500_000
+    assert abs(held - needed) <= 0.05 * needed, (held, needed)
+
+
 def test_signed_counts_are_int_below_rank_zero():
     P = RankedPoset({"bot": -1, "a": 0, "b": 0, "c": 0, "top": 1},
                     [("bot", x) for x in "abc"] + [(x, "top") for x in "abc"])
@@ -948,8 +1012,9 @@ def test_signed_parity_masks_match_the_per_rank_sum():
                 c = (mask & rm).bit_count()
                 total += c if r % 2 == 0 else -c
             return total
-        masks = [(1 << len(P)) - 1] + P._up + P._down
-        masks += [P._up[i] & P._down[j] for i in range(len(P)) for j in _bits(P._up[i])]
+        up = [u << i for i, u in enumerate(P._up)]
+        masks = [(1 << len(P)) - 1] + up + P._down
+        masks += [up[i] & P._down[j] for i in range(len(P)) for j in _bits(up[i])]
         for mask in masks:
             assert P._signed(mask) == per_rank(mask)
 
