@@ -7,14 +7,18 @@ the 2-associahedra; the one-variable face count of the associahedra, solve_f,
 is solve_F at the one-leaf tree.  It clears the denominator of the equation
 and fills the solution one total degree at a time: degree d of the cleared
 equation only depends on strictly smaller degrees, so each degree is
-computed once, from two degree-d convolutions.  The equation as written,
+computed once, from one degree-d convolution.  The equation as written,
 with its geometric series, is then checked on the finished candidate.
 
 Every convolution of two series goes through one kernel, _degree_product.
 It packs each t-polynomial into one integer and each exponent vector into
 one mixed-radix code (Kronecker substitution), so the product of two terms
 is one integer product and one addition of codes, and it unpacks each
-coefficient of the result once.
+coefficient of the result once.  A series product is one kernel call over
+all degrees; the degree-by-degree solvers, geometric_inverse and
+_solve_cleared, make one call per degree and keep each layer's scan and
+packs (a _Packs) for the length of their loop, so no layer is packed again
+at every degree.  Nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -48,6 +52,13 @@ class LaurentPoly:
     def term(cls, coeff: int, exp: int = 0) -> "LaurentPoly":
         return cls({exp: coeff})
 
+    @classmethod
+    def _of(cls, coeffs: dict[int, int]) -> "LaurentPoly":
+        """The polynomial of `coeffs`, which holds no zero, taken without a copy."""
+        p = object.__new__(cls)
+        p.coeffs = coeffs
+        return p
+
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -76,6 +87,10 @@ class LaurentPoly:
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
         return LaurentPoly(out)
+
+    def times_monomial(self, exp: int, coeff: int) -> "LaurentPoly":
+        """self * coeff t^exp, for a nonzero coeff."""
+        return LaurentPoly._of({e + exp: c * coeff for e, c in self.coeffs.items()})
 
     def coefficient(self, exp: int) -> int:
         return self.coeffs.get(exp, 0)
@@ -119,7 +134,7 @@ class TruncatedSeries:
         for n, p in (terms or {}).items():
             if len(n) != var_count:
                 raise ValueError("exponent vector has wrong length")
-            if sum(n) <= max_degree and p:
+            if sum(n) <= max_degree and p.coeffs:
                 self.terms[n] = p
 
     @classmethod
@@ -154,17 +169,21 @@ class TruncatedSeries:
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_shape(other)
-        a, b = _graded(self), _graded(other)
-        out: dict[tuple[int, ...], LaurentPoly] = {}
-        for d in range(self.max_degree + 1):
-            _degree_product(a, b, d, out)
+        out = _degree_product(_graded(self), _graded(other), range(self.max_degree + 1))
         return TruncatedSeries(self.var_count, self.max_degree, out)
 
     def scaled(self, p: LaurentPoly) -> "TruncatedSeries":
-        return TruncatedSeries(self.var_count, self.max_degree,
-                               {n: q * p for n, q in self.terms.items()})
+        if len(p.coeffs) == 1:  # c t^e: shift the exponents, scale the coefficients
+            (e, c), = p.coeffs.items()
+            terms = {n: q.times_monomial(e, c) for n, q in self.terms.items()}
+        else:
+            terms = {n: q * p for n, q in self.terms.items()}
+        return TruncatedSeries(self.var_count, self.max_degree, terms)
 
     def coefficient_poly(self, n: tuple[int, ...]) -> LaurentPoly:
+        if len(n) != self.var_count or min(n) < 0:
+            raise ValueError(f"exponent {tuple(n)} is not a vector of var_count = "
+                             f"{self.var_count} nonnegative entries")
         if sum(n) > self.max_degree:
             raise ValueError(f"exponent {n} exceeds truncation degree {self.max_degree}")
         return self.terms.get(tuple(n), LP_ZERO)
@@ -207,70 +226,125 @@ def _ungraded(var_count: int, layers: list[dict]) -> TruncatedSeries:
                            {n: p for layer in layers for n, p in layer.items()})
 
 
-def _extent(polys: list[dict[int, int]]) -> tuple[int, int, int]:
-    """(lowest exponent, exponent span, largest |coefficient|) of nonzero polys."""
-    exps = set().union(*polys)
-    values = list(chain.from_iterable(map(dict.values, polys)))
-    lo = min(exps)
-    return lo, max(exps) - lo + 1, max(max(values), -min(values))
+class _Layer:
+    """One graded layer as the kernel reads it: nonzero terms, codes, extent, packs."""
+
+    __slots__ = ("layer", "terms", "codes", "lo", "hi", "top", "packed_at")
+
+    def __init__(self, layer: dict, weights: list[int]):
+        self.layer = layer  # held, so its id is not reused while a _Packs lives
+        self.terms = [p.coeffs for p in layer.values() if p.coeffs]
+        self.codes = [sum(map(mul, n, weights)) for n, p in layer.items() if p.coeffs]
+        self.packed_at: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        if self.terms:
+            self.lo = min(map(min, self.terms))
+            self.hi = max(map(max, self.terms))
+            self.top = max(map(abs, chain.from_iterable(map(dict.values, self.terms))))
+
+    def packed(self, k: int, lo: int) -> list[tuple[int, int]]:
+        """(exponent code, sum_e c_e 2^(k (e - lo))) for each nonzero term."""
+        pack = self.packed_at.get((k, lo))
+        if pack is None:
+            values = []
+            for coeffs in self.terms:
+                v = 0
+                for e, c in coeffs.items():
+                    v += c << k * (e - lo)
+                values.append(v)
+            pack = self.packed_at[k, lo] = list(zip(self.codes, values))
+        return pack
 
 
-def _pack(layer: list, weights: list[int], k: int, lo: int) -> list[tuple[int, int]]:
-    """(exponent code, packed polynomial) for each (n, coeffs) of a layer."""
-    packed = []
-    for n, coeffs in layer:
-        v = 0
-        for e, c in coeffs.items():
-            v += c << k * (e - lo)
-        packed.append((sum(map(mul, n, weights)), v))
-    return packed
+class _Packs:
+    """The _Layer of every layer the kernel reads during one caller's degree loop.
+
+    A caller that convolves the same layers for several output degrees
+    passes one _Packs to each kernel call, so each layer is scanned once and
+    packed once per digit width and lowest exponent.  Layers are keyed by
+    id and must not change while the _Packs lives; it lives no longer than
+    the call that made it.
+    """
+
+    __slots__ = ("radix", "weights", "layers")
+
+    def __init__(self, radix: int):
+        self.radix = radix
+        self.weights: list[int] = []
+        self.layers: dict[int, _Layer] = {}
+
+    def read(self, layer: dict) -> _Layer:
+        entry = self.layers.get(id(layer))
+        if entry is None:
+            if not self.weights:  # the length of any exponent vector
+                self.weights = [self.radix ** i for i in range(len(next(iter(layer))))]
+            entry = self.layers[id(layer)] = _Layer(layer, self.weights)
+        return entry
 
 
-def _degree_product(a: list[dict], b: list[dict], d: int, out: dict | None = None) -> dict:
-    """Degree-d part of a * b for graded series a, b, added into `out` when given.
+def _digit_width(bound: int) -> int:
+    """bound.bit_length() + 2, rounded up to a multiple of 64 so packs repeat."""
+    return -(-(bound.bit_length() + 2) // 64) * 64
 
+
+def _degree_product(a: list[dict], b: list[dict], degrees: range,
+                    out: dict | None = None, packs: _Packs | None = None) -> dict:
+    """The parts of a * b of the given total degrees, added into `out` when given.
+
+    a and b are graded series truncated at the same degree D = len(a) - 1.
     Kronecker substitution turns each product of two t-polynomials into one
     integer product.  A nonzero polynomial becomes the integer
     sum_e c_e 2^(k (e - lo)), with lo the lowest exponent on its side, and an
-    exponent vector n of a degree-<= d term becomes the mixed-radix code
-    sum_i n_i (d+1)^i; every component of a degree-d vector is at most d, so
-    two codes add without a carry.  The kernel sums v1 * v2 per code sum and
-    reads each sum back once as signed k-bit digits, digit j being the
-    coefficient of t^(j + lo_a + lo_b).
+    exponent vector n becomes the mixed-radix code sum_i n_i (D+1)^i; no
+    component of a vector of total degree <= D exceeds D, so two codes add
+    without a carry.  The kernel sums v1 * v2 per code sum and reads each sum
+    back once as signed k-bit digits, digit j being the coefficient of
+    t^(j + lo_a + lo_b).  Each layer is filtered and scanned once per
+    `packs`, and packed once per digit width and lowest exponent; without
+    `packs` that store lives for this call alone.
 
-    The digit width k holds every such coefficient.  With c1 + c2 fixed, c1
-    determines c2, so one code collects at most
-    terms = sum over layer pairs of min(|a_d1|, |b_(d-d1)|) polynomial
-    products.  One product's digit j is a sum of at most span coefficient
-    products, span being the smaller of the two sides' exponent spans, and
-    each is at most A B in absolute value (A, B the largest |coefficient| on
-    each side).  So no digit exceeds A B span terms in absolute value, which
-    is below 2^(k-2) for k = bitlen(A B span terms) + 2: every digit lies
-    well inside the signed k-bit range.  Zero polynomials are skipped.
+    The digit width k holds every such coefficient.  A code sum has one
+    total degree d, and with c1 + c2 fixed, c1 determines c2, so one code
+    collects at most terms = max over d of the sum over degree-d layer pairs
+    of min(|a_d1|, |b_(d-d1)|) polynomial products.  One product's digit j
+    is a sum of at most span coefficient products, span being the smaller of
+    the two sides' exponent spans, and each is at most A B in absolute value
+    (A, B the largest |coefficient| on each side).  So no digit exceeds
+    A B span terms in absolute value, which is below 2^(k-2) for any
+    k >= bitlen(A B span terms) + 2: every digit lies well inside the signed
+    k-bit range.  k is rounded up to a multiple of 64, so that later calls
+    on the same `packs` find most layers already packed.  Zero polynomials
+    are skipped.
     """
     out = {} if out is None else out
-    pairs = []  # the nonzero polynomials of each layer pair that meets
-    for d1 in range(d + 1):
-        la = [(n, p.coeffs) for n, p in a[d1].items() if p]
-        lb = [(n, p.coeffs) for n, p in b[d - d1].items() if p]
-        if la and lb:
-            pairs.append((la, lb))
+    packs = _Packs(len(a)) if packs is None else packs
+    pairs = []  # the layers of each layer pair that meets, both nonzero
+    terms = 0
+    for d in degrees:
+        count = 0
+        for d1 in range(d + 1):
+            la, lb = a[d1], b[d - d1]
+            if la and lb:
+                ea, eb = packs.read(la), packs.read(lb)
+                if ea.terms and eb.terms:
+                    pairs.append((ea, eb))
+                    count += min(len(ea.terms), len(eb.terms))
+        terms = max(terms, count)
     if not pairs:
         return out
-    lo_a, span_a, A = _extent([cs for la, _ in pairs for _, cs in la])
-    lo_b, span_b, B = _extent([cs for _, lb in pairs for _, cs in lb])
-    terms = sum(min(len(la), len(lb)) for la, lb in pairs)
-    k = (A * B * min(span_a, span_b) * terms).bit_length() + 2
-    r = len(pairs[0][0][0][0])  # the length of any exponent vector
-    weights = [(d + 1) ** i for i in range(r)]
+    side_a = {ea for ea, _ in pairs}
+    side_b = {eb for _, eb in pairs}
+    lo_a, lo_b = min(e.lo for e in side_a), min(e.lo for e in side_b)
+    span = min(max(e.hi for e in side_a) - lo_a, max(e.hi for e in side_b) - lo_b) + 1
+    k = _digit_width(max(e.top for e in side_a) * max(e.top for e in side_b) * span * terms)
 
     acc: defaultdict[int, int] = defaultdict(int)
-    for la, lb in pairs:
-        pb = _pack(lb, weights, k, lo_b)
-        for c1, v1 in _pack(la, weights, k, lo_a):
+    for ea, eb in pairs:
+        pb = eb.packed(k, lo_b)
+        for c1, v1 in ea.packed(k, lo_a):
             for c2, v2 in pb:
                 acc[c1 + c2] += v1 * v2
 
+    radix, r = packs.radix, len(packs.weights)
     mask, half = (1 << k) - 1, 1 << (k - 1)
     for code, v in acc.items():
         if not v:
@@ -287,9 +361,9 @@ def _degree_product(a: list[dict], b: list[dict], d: int, out: dict | None = Non
             e += 1
         n = [0] * r
         for i in range(r):
-            code, n[i] = divmod(code, d + 1)
+            code, n[i] = divmod(code, radix)
         n = tuple(n)
-        prod = LaurentPoly(coeffs)
+        prod = LaurentPoly._of(coeffs)
         q = out.get(n)
         out[n] = prod if q is None else q + prod
     return out
@@ -306,8 +380,9 @@ def geometric_inverse(u: TruncatedSeries) -> TruncatedSeries:
     us = _graded(u)
     g: list[dict] = [{} for _ in us]
     g[0] = {(0,) * u.var_count: LP_ONE}
+    packs = _Packs(len(us))
     for d in range(1, len(g)):
-        g[d] = _degree_product(us, g, d)
+        g[d] = _degree_product(us, g, range(d, d + 1), None, packs)
     return _ungraded(u.var_count, g)
 
 
@@ -315,22 +390,24 @@ def _solve_cleared(H: TruncatedSeries, p: int) -> TruncatedSeries:
     """The solution with F_0 = 0 of F = H + t^-p ((1+t) F^2 - t H F).
 
     This is solve_F's equation F = t^-p F^2 / (1 - t^(1-p) F) + H with the
-    denominator cleared.  Neither F nor H has a constant term, so degree d of
-    F^2 and of H F only reads degrees below d of F: each is filled once.
+    denominator cleared.  Neither F nor H has a constant term, so the last
+    summand is F G with G = t^-p ((1+t) F - t H), and degree d of F G only
+    reads degrees below d of F and G: F_d is filled from one convolution,
+    then G_d from F_d and H_d.
     """
     Hs = _graded(H)
     square_weight = LaurentPoly({-p: 1, 1 - p: 1})  # t^-p (1+t)
-    cross_weight = LaurentPoly.term(-1, 1 - p)       # -t^(1-p)
     F: list[dict] = [{} for _ in Hs]
+    G: list[dict] = [{} for _ in Hs]
+    packs = _Packs(len(Hs))
     for d in range(1, len(F)):
-        layer = dict(Hs[d])
-        for weight, part in ((square_weight, _degree_product(F, F, d)),
-                             (cross_weight, _degree_product(Hs, F, d))):
-            for n, q in part.items():
-                q = q * weight
-                old = layer.get(n)
-                layer[n] = q if old is None else old + q
-        F[d] = layer
+        F[d] = _degree_product(F, G, range(d, d + 1), dict(Hs[d]), packs)
+        layer = {n: q * square_weight for n, q in F[d].items()}
+        for n, h in Hs[d].items():
+            q = h.times_monomial(1 - p, -1)  # -t^(1-p) H_d
+            old = layer.get(n)
+            layer[n] = q if old is None else old + q
+        G[d] = layer
     return _ungraded(H.var_count, F)
 
 
@@ -393,13 +470,15 @@ def solve_F(tree: Tree, max_degree: int) -> TruncatedSeries:
     if tree.is_leaf:
         H = TruncatedSeries.variable(1, max_degree, 1)
     else:
-        one = horiz = TruncatedSeries.constant(r, max_degree, LP_ONE)
+        horiz = None
         offset = 0
         for child in root_decompose(tree):
             p_i = dim_tree(child)
             child_F = solve_F(child, max_degree).embed(r, offset)
-            horiz = horiz * geometric_inverse(child_F.scaled(LaurentPoly.term(1, 1 - p_i)))
+            factor = geometric_inverse(child_F.scaled(LaurentPoly.term(1, 1 - p_i)))
+            horiz = factor if horiz is None else horiz * factor
             offset += child.leaf_count()
+        one = TruncatedSeries.constant(r, max_degree, LP_ONE)
         H = (horiz - one).scaled(LaurentPoly.term(1, p - 1))
 
     F = _solve_cleared(H, p)

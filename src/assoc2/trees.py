@@ -20,23 +20,36 @@ class Tree:
 
     children: tuple["Tree", ...] = ()
 
+    def __hash__(self):
+        # the value the generated dataclass hash returns, computed once: every
+        # memo keyed on a tree hashes it, and would otherwise walk it each time
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild on unpickling, so the cached values never cross processes
+        return Tree, (self.children,)
+
     def __post_init__(self):
         if len(self.children) == 1:
             raise ValueError("stability: internal nodes need >= 2 children")
+        # children are built first, so each count is one sum over the branches
+        leaves, internal = 1, 0
+        if self.children:
+            leaves = sum(c._leaves for c in self.children)
+            internal = 1 + sum(c._internal for c in self.children)
+        object.__setattr__(self, "_leaves", leaves)
+        object.__setattr__(self, "_internal", internal)
+        object.__setattr__(self, "_hash", hash((self.children,)))
 
     @property
     def is_leaf(self) -> bool:
         return not self.children
 
     def leaf_count(self) -> int:
-        if self.is_leaf:
-            return 1
-        return sum(c.leaf_count() for c in self.children)
+        return self._leaves
 
     def internal_count(self) -> int:
-        if self.is_leaf:
-            return 0
-        return 1 + sum(c.internal_count() for c in self.children)
+        return self._internal
 
 
 LEAF = Tree()

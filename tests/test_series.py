@@ -141,17 +141,21 @@ def test_solve_F_rejects_a_wrong_candidate(monkeypatch):
         series.solve_F(corolla(2), 4)
 
 
-def _dict_degree_product(a, b, d, out=None):
-    """series._degree_product as it was: one LaurentPoly product per pair of terms."""
+def _dict_degree_product(a, b, degrees, out=None, packs=None):
+    """series._degree_product as it was: one LaurentPoly product per pair of terms.
+
+    Takes the kernel's arguments; `packs` is the kernel's own store and is not read.
+    """
     out = {} if out is None else out
-    for d1 in range(d + 1):
-        b_layer = b[d - d1]
-        for n1, p1 in a[d1].items():
-            for n2, p2 in b_layer.items():
-                n = tuple(x + y for x, y in zip(n1, n2))
-                prod = p1 * p2
-                q = out.get(n)
-                out[n] = prod if q is None else q + prod
+    for d in degrees:
+        for d1 in range(d + 1):
+            b_layer = b[d - d1]
+            for n1, p1 in a[d1].items():
+                for n2, p2 in b_layer.items():
+                    n = tuple(x + y for x, y in zip(n1, n2))
+                    prod = p1 * p2
+                    q = out.get(n)
+                    out[n] = prod if q is None else q + prod
     return out
 
 
@@ -200,38 +204,76 @@ def _cancelling_layers(r, d):
     return a, b, cancelled
 
 
+def _degree_ranges(D):
+    """Every degree alone, all of 0..D, and the upper half."""
+    return [range(d, d + 1) for d in range(D + 1)] + [range(D + 1), range(D // 2, D + 1)]
+
+
 def test_degree_product_matches_the_pair_loop():
     rng = random.Random(20240614)
     for r in range(1, 5):
-        for d in range(7):
+        for D in range(7):
             for big in (1, 9, 2 ** 64, 2 ** 200):
                 for _ in range(3):
-                    a = _random_layers(rng, r, d, big)
-                    b = a if rng.random() < 0.25 else _random_layers(rng, r, d, big)
-                    got, want = series._degree_product(a, b, d), _dict_degree_product(a, b, d)
-                    assert _nonzero(got) == _nonzero(want), (r, d, big)
-                    seed = {n: LaurentPoly({0: 1}) for n in _vectors(r, d)[:2]}
-                    got = series._degree_product(a, b, d, dict(seed))
-                    want = _dict_degree_product(a, b, d, dict(seed))
-                    assert _nonzero(got) == _nonzero(want), (r, d, big)
+                    a = _random_layers(rng, r, D, big)
+                    b = a if rng.random() < 0.25 else _random_layers(rng, r, D, big)
+                    for degrees in _degree_ranges(D):
+                        got = series._degree_product(a, b, degrees)
+                        want = _dict_degree_product(a, b, degrees)
+                        assert _nonzero(got) == _nonzero(want), (r, D, big, degrees)
+                    degrees = range(D + 1)
+                    seed = {n: LaurentPoly({0: 1}) for d in degrees for n in _vectors(r, d)[:2]}
+                    got = series._degree_product(a, b, degrees, dict(seed))
+                    want = _dict_degree_product(a, b, degrees, dict(seed))
+                    assert _nonzero(got) == _nonzero(want), (r, D, big)
     for r in range(1, 5):
         a, b, cancelled = _cancelling_layers(r, 4)
-        want = _dict_degree_product(a, b, 4)
-        assert all(n in want and not want[n] for n in cancelled)
-        got = series._degree_product(a, b, 4)
-        assert _nonzero(got) == _nonzero(want) and not any(n in got for n in cancelled)
+        for degrees in (range(4, 5), range(5)):
+            want = _dict_degree_product(a, b, degrees)
+            assert all(n in want and not want[n] for n in cancelled)
+            got = series._degree_product(a, b, degrees)
+            assert _nonzero(got) == _nonzero(want) and not any(n in got for n in cancelled)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_degree_product_reuses_packs_across_calls(r):
+    # one store over a degree loop, as geometric_inverse keeps it: g = 1 + u g,
+    # with coefficients that grow with the degree, so later calls need wider
+    # digits than earlier ones and find layers packed at a narrower width;
+    # every lowest exponent is 0, so only the width tells the packs apart
+    rng = random.Random(7 + r)
+    D = 6
+    u = [{}] + [{n: LaurentPoly({e: rng.randint(1, 2 ** (40 * d)) for e in range(3)})
+                 for n in _vectors(r, d) if rng.random() < 0.7} for d in range(1, D + 1)]
+    g, want = [{} for _ in u], [{} for _ in u]
+    g[0] = want[0] = {(0,) * r: LP_ONE}
+    packs = series._Packs(len(u))
+    for d in range(1, D + 1):
+        g[d] = series._degree_product(u, g, range(d, d + 1), None, packs)
+        want[d] = _dict_degree_product(u, want, range(d, d + 1))
+        assert _nonzero(g[d]) == _nonzero(want[d]), (r, d)
+    # each nonempty layer was scanned once, for every degree that read it
+    read = [layer for layer in u + g[:D] if layer]
+    assert len(packs.layers) == len(read)
+    assert all(packs.layers[id(layer)].layer is layer for layer in read)
+    assert max(len(entry.packed_at) for entry in packs.layers.values()) > 1
 
 
 @pytest.mark.parametrize("d", [0, 3, 6])
 def test_degree_product_digits_at_the_bound(d):
     # one variable, every layer full, every coefficient +A on the same span:
-    # the middle digit is exactly A * A * span * (d + 1), the bound the kernel
-    # sizes its digits by
-    A, span = 2 ** 200 - 1, 5
-    a = [{(j,): LaurentPoly(dict.fromkeys(range(-2, 3), A))} for j in range(d + 1)]
-    got = series._degree_product(a, a, d)
-    assert got == _dict_degree_product(a, a, d)
-    assert got[(d,)].coefficient(0) == A * A * span * (d + 1)  # t^0: middle of t^-4..t^4
+    # the middle digit of degree d is exactly A * A * span * (d + 1), the bound
+    # the kernel sizes its digits by.  A runs over bit lengths that put the
+    # bound at every offset from a multiple of 64, the unit k is rounded to.
+    span = 5
+    for bits in range(1, 70):
+        A = 2 ** bits - 1
+        a = [{(j,): LaurentPoly(dict.fromkeys(range(-2, 3), A))} for j in range(d + 1)]
+        for degrees in (range(d, d + 1), range(d + 1)):
+            got = series._degree_product(a, a, degrees)
+            assert got == _dict_degree_product(a, a, degrees), (bits, degrees)
+            # t^0: middle of t^-4..t^4
+            assert got[(d,)].coefficient(0) == A * A * span * (d + 1), (bits, degrees)
 
 
 def _reference_f(max_degree):
@@ -299,6 +341,16 @@ def test_coefficient_examples():
     assert coefficient(f4, 3, (4,)) == 0
     with pytest.raises(ValueError):
         coefficient(f4, 0, (5,))
+
+
+@pytest.mark.parametrize("n", [(1, 2), (1, 1, 1, 0), (1, 0, -1)])
+def test_coefficient_rejects_a_vector_of_the_wrong_shape(n):
+    # count_W raises on these; a series read of them is no count either
+    F = solve_F(trees_of_Kr(3)[0], 4)
+    with pytest.raises(ValueError, match=re.escape(f"exponent {n}") + ".*var_count = 3"):
+        coefficient(F, 1, n)
+    with pytest.raises(ValueError):
+        count_W(trees_of_Kr(3)[0], 1, n)
 
 
 def test_eval_t_minus1_pentagon():

@@ -1,4 +1,5 @@
 import math
+import pickle
 import re
 
 import pytest
@@ -17,6 +18,48 @@ LEAF = Tree()
 def test_stability_rejects_single_child():
     with pytest.raises(ValueError):
         Tree((LEAF,))
+
+
+def _recount(tree):
+    """(leaves, internal nodes) by walking the tree."""
+    if not tree.children:
+        return 1, 0
+    counts = [_recount(c) for c in tree.children]
+    return sum(c[0] for c in counts), 1 + sum(c[1] for c in counts)
+
+
+def _rebuilt(tree):
+    """An equal tree made of new nodes, sharing no node with `tree`."""
+    return Tree(tuple(_rebuilt(c) for c in tree.children))
+
+
+def test_tree_counts_are_cached_at_construction():
+    for r in range(1, 8):
+        for b in all_bracketings(r):
+            tree = bracketing_to_tree(b)
+            assert (tree.leaf_count(), tree.internal_count()) == _recount(tree) == (r, len(b.brackets))
+            assert dim_tree(tree) == b.dim
+
+
+def test_equal_trees_built_apart_compare_and_hash_equal():
+    for r in range(1, 6):
+        for b in all_bracketings(r):
+            tree = bracketing_to_tree(b)
+            for other in (_rebuilt(tree), parse_tree(tree_to_text(tree))):
+                assert other == tree and hash(other) == hash(tree)
+                assert {other: 1}[tree] == 1
+    # the cached hash is the one the generated dataclass hash computes
+    assert hash(corolla(3)) == hash(((LEAF, LEAF, LEAF),))
+    assert parse_tree("((..).)") != parse_tree("(.(..))")
+
+
+def test_tree_pickle_rebuilds_the_cached_values():
+    for tree in (LEAF, corolla(4), parse_tree("((..)(.(..)).)")):
+        again = pickle.loads(pickle.dumps(tree))
+        assert again == tree and hash(again) == hash(tree)
+        assert (again.leaf_count(), again.internal_count()) == _recount(tree)
+        # the pickle carries the children alone, never a cached value
+        assert tree.__reduce__() == (Tree, (tree.children,))
 
 
 @pytest.mark.parametrize("r,counts", [
