@@ -396,17 +396,20 @@ def _solve_cleared(H: TruncatedSeries, p: int) -> TruncatedSeries:
     then G_d from F_d and H_d.
     """
     Hs = _graded(H)
-    square_weight = LaurentPoly({-p: 1, 1 - p: 1})  # t^-p (1+t)
     F: list[dict] = [{} for _ in Hs]
     G: list[dict] = [{} for _ in Hs]
     packs = _Packs(len(Hs))
     for d in range(1, len(F)):
         F[d] = _degree_product(F, G, range(d, d + 1), dict(Hs[d]), packs)
-        layer = {n: q * square_weight for n, q in F[d].items()}
-        for n, h in Hs[d].items():
-            q = h.times_monomial(1 - p, -1)  # -t^(1-p) H_d
-            old = layer.get(n)
-            layer[n] = q if old is None else old + q
+        layer = {}
+        for n, f in F[d].items():  # H_d seeded F_d, so every n of H_d is here
+            g: dict[int, int] = {}
+            for e, c in f.coeffs.items():  # t^-p (1+t) F_d
+                g[e - p] = g.get(e - p, 0) + c
+                g[e + 1 - p] = g.get(e + 1 - p, 0) + c
+            for e, c in Hs[d].get(n, LP_ZERO).coeffs.items():  # -t^(1-p) H_d
+                g[e + 1 - p] = g.get(e + 1 - p, 0) - c
+            layer[n] = LaurentPoly(g)
         G[d] = layer
     return _ungraded(H.var_count, F)
 
@@ -472,10 +475,14 @@ def solve_F(tree: Tree, max_degree: int) -> TruncatedSeries:
     else:
         horiz = None
         offset = 0
+        # each distinct branch's geometric series in its own variables:
+        # embedding commutes with it, so a repeated branch is expanded once
+        inverses: dict[Tree, TruncatedSeries] = {}
         for child in root_decompose(tree):
-            p_i = dim_tree(child)
-            child_F = solve_F(child, max_degree).embed(r, offset)
-            factor = geometric_inverse(child_F.scaled(LaurentPoly.term(1, 1 - p_i)))
+            if child not in inverses:
+                shift = LaurentPoly.term(1, 1 - dim_tree(child))
+                inverses[child] = geometric_inverse(solve_F(child, max_degree).scaled(shift))
+            factor = inverses[child].embed(r, offset)
             horiz = factor if horiz is None else horiz * factor
             offset += child.leaf_count()
         one = TruncatedSeries.constant(r, max_degree, LP_ONE)

@@ -8,7 +8,7 @@ of (1..r): non-singleton brackets correspond to leaf sets of internal nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from math import comb
 
 from .poset import DEFAULT_MAX_ELEMENTS, RankedPoset, SearchSpaceError
@@ -20,26 +20,33 @@ class Tree:
 
     children: tuple["Tree", ...] = ()
 
+    def __post_init__(self):
+        if len(self.children) == 1:
+            raise ValueError("stability: internal nodes need >= 2 children")
+
+    # The hash and the two counts are computed on first use and kept: every
+    # memo keyed on a tree hashes it, and dim_tree counts it, so neither walks
+    # the tree again.  Not at construction, since K_r enumeration builds
+    # tens of thousands of trees that it only prints.
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.children,))  # what the generated dataclass hash returns
+
+    @cached_property
+    def _leaves(self) -> int:
+        return sum(c._leaves for c in self.children) if self.children else 1
+
+    @cached_property
+    def _internal(self) -> int:
+        return 1 + sum(c._internal for c in self.children) if self.children else 0
+
     def __hash__(self):
-        # the value the generated dataclass hash returns, computed once: every
-        # memo keyed on a tree hashes it, and would otherwise walk it each time
         return self._hash
 
     def __reduce__(self):
         # rebuild on unpickling, so the cached values never cross processes
         return Tree, (self.children,)
-
-    def __post_init__(self):
-        if len(self.children) == 1:
-            raise ValueError("stability: internal nodes need >= 2 children")
-        # children are built first, so each count is one sum over the branches
-        leaves, internal = 1, 0
-        if self.children:
-            leaves = sum(c._leaves for c in self.children)
-            internal = 1 + sum(c._internal for c in self.children)
-        object.__setattr__(self, "_leaves", leaves)
-        object.__setattr__(self, "_internal", internal)
-        object.__setattr__(self, "_hash", hash((self.children,)))
 
     @property
     def is_leaf(self) -> bool:

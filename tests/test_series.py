@@ -330,6 +330,16 @@ def test_solvers_match_whole_series_iteration(monkeypatch):
         assert got == want, case
 
 
+def test_solve_F_expands_each_distinct_branch(monkeypatch):
+    # branches (.(..)) and ((..).) have equal leaf counts but different series;
+    # a repeated branch, (..) twice, is expanded once and embedded twice
+    solved = [solve_F(parse_tree(text), 3) for text in ("((.(..))((..).))", "((..)(..).)")]
+    monkeypatch.setattr(series, "_degree_product", _dict_degree_product)
+    _reference_F.cache_clear()
+    references = [_reference_F(parse_tree(text), 3) for text in ("((.(..))((..).))", "((..)(..).)")]
+    assert solved == references
+
+
 def test_solve_F_no_constant_term():
     F = solve_F(corolla(3), 4)
     assert (0, 0, 0) not in F.terms

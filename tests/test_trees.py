@@ -33,11 +33,13 @@ def _rebuilt(tree):
     return Tree(tuple(_rebuilt(c) for c in tree.children))
 
 
-def test_tree_counts_are_cached_at_construction():
+def test_tree_cached_counts_match_a_recount():
     for r in range(1, 8):
         for b in all_bracketings(r):
             tree = bracketing_to_tree(b)
-            assert (tree.leaf_count(), tree.internal_count()) == _recount(tree) == (r, len(b.brackets))
+            for _ in range(2):  # computed, then read back
+                assert (tree.leaf_count(), tree.internal_count()) == _recount(tree) \
+                    == (r, len(b.brackets))
             assert dim_tree(tree) == b.dim
 
 
@@ -55,6 +57,7 @@ def test_equal_trees_built_apart_compare_and_hash_equal():
 
 def test_tree_pickle_rebuilds_the_cached_values():
     for tree in (LEAF, corolla(4), parse_tree("((..)(.(..)).)")):
+        hash(tree), tree.leaf_count()  # fill the caches before pickling
         again = pickle.loads(pickle.dumps(tree))
         assert again == tree and hash(again) == hash(tree)
         assert (again.leaf_count(), again.internal_count()) == _recount(tree)
