@@ -151,7 +151,7 @@ def audit_fiber_products(r_max: int = 2, k_max: int = 3, weight_max: int = 3) ->
         K = enumerate_Kr(r)
         vecs = [n for n in itertools.product(range(weight_max + 1), repeat=r)
                 if any(n) and sum(n) <= weight_max]
-        # held for the whole loop, as the enumeration memo keeps no W_n by itself
+        # each factor enumerated once and held for the whole loop
         factors = {m: enumerate_Wn(m) for m in vecs}
         for k in range(1, k_max + 1):
             for ms in itertools.combinations_with_replacement(vecs, k):
@@ -383,5 +383,5 @@ def _desk_rows(n: tuple[int, ...], counts: AuditReport, balance: AuditReport,
     comp = P.complete_with_min("F^min")
     _add_count_rows(counts, n, _fiber_rank_counts(P), max(sum(n), 1))
     _add_balance_rows(balance, n, P, comp)
-    del P  # the sweeps read the completion alone, and the memo keeps no dropped W_n
+    del P  # the sweeps read the completion alone
     _add_eulerian_rows(eulerian, n, comp)

@@ -131,9 +131,14 @@ class TruncatedSeries:
         self.var_count = var_count
         self.max_degree = max_degree
         self.terms: dict[tuple[int, ...], LaurentPoly] = {}
-        for n, p in (terms or {}).items():
-            if len(n) != var_count:
-                raise ValueError("exponent vector has wrong length")
+        terms = terms or {}
+        # a product files each term by its total degree, so no entry may be negative;
+        # one pass over all entries, and a per-vector min only to name the bad one
+        negative = min(chain.from_iterable(terms), default=0) < 0
+        for n, p in terms.items():
+            if len(n) != var_count or negative and min(n) < 0:
+                raise ValueError(f"exponent {tuple(n)} is not a vector of var_count = "
+                                 f"{var_count} nonnegative entries")
             if sum(n) <= max_degree and p.coeffs:
                 self.terms[n] = p
 

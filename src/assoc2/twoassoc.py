@@ -19,7 +19,6 @@ independent count oracles.
 from __future__ import annotations
 
 import itertools
-import weakref
 from dataclasses import dataclass
 from functools import cache
 from math import factorial, prod
@@ -705,11 +704,6 @@ def _gen_fiber(tree: Tree, n: tuple[int, ...], line_off: int, offs: tuple[int, .
     return done
 
 
-# each W_n by n, while some caller holds it (see enumerate_Wn)
-_ENUM_CACHE: weakref.WeakValueDictionary[tuple[int, ...], RankedPoset] = \
-    weakref.WeakValueDictionary()
-
-
 def enumerate_Wn(n, max_elements: int = DEFAULT_MAX_ELEMENTS) -> RankedPoset:
     """Face poset of W_n with forgetful labels.
 
@@ -731,17 +725,10 @@ def enumerate_Wn(n, max_elements: int = DEFAULT_MAX_ELEMENTS) -> RankedPoset:
     lower, and the closure of the covers must give back every down-set.
     The construction asserts gradedness, the unique maximum at rank
     |n| + r - 3 and minimal elements at rank 0.  Above max_elements no face
-    is built.  The memo is weak: while any caller holds W_n, every call for
-    n returns that same poset, checked against max_elements by its own
-    size; once no one holds it, it is freed and the next call builds it
-    afresh.  A caller that reads one W_n several times holds it meanwhile.
+    is built.  Every call runs the bounds, the count and the build, and keeps
+    nothing: a caller that reads one W_n several times holds it itself.
     """
     n = check_nvector(n)
-    poset = _ENUM_CACHE.get(n)
-    if poset is not None:
-        if len(poset) > max_elements:
-            raise SearchSpaceError(f"W_{n} has {len(poset)} faces, above the bound {max_elements}")
-        return poset
     r = len(n)
     # refuse from lower bounds before counting any fiber: |K_r|, as no fiber
     # is empty, and over the corolla |K_(n_i)| (line i subdivided alone) and
@@ -800,7 +787,6 @@ def enumerate_Wn(n, max_elements: int = DEFAULT_MAX_ELEMENTS) -> RankedPoset:
         raise VerificationError("unique maximum is not the forced-core element at |n|+r-3")
     if any(poset.rank_of(m) != 0 for m in poset.minimal_elements()):
         raise VerificationError("a minimal face has nonzero rank")
-    _ENUM_CACHE[n] = poset
     return poset
 
 
@@ -809,12 +795,11 @@ def face_two_bracketings(n):
 
     The faces come in generation order, after enumerate_Wn (default bound)
     has validated them; each object is built when reached and kept by no one.
-    The generator holds W_n while it runs, so an enumerate_Wn(n) call made
-    meanwhile gets the same poset from the memo instead of building it again,
-    and keeps its own screens memo (see _gen_fiber) until it is exhausted.
+    The generator keeps its own screens memo (see _gen_fiber) until it is
+    exhausted.
     """
     n = check_nvector(n)
-    held = enumerate_Wn(n)  # never read: it keeps W_n in the weak memo while this runs
+    enumerate_Wn(n)  # validates the faces below, or raises; the poset is not kept
     screens: dict = {}
     for kb in all_bracketings(len(n)):
         for fs, _d in _gen_fiber(bracketing_to_tree(kb), n, 0, (0,) * len(n), screens):

@@ -7,19 +7,14 @@ lines; every tolerance is exact integer equality.
 import itertools
 import time
 
-import pytest
-
 from assoc2 import cli
-from assoc2.audit import (audit_counts, audit_eulerian, audit_fiber_products,
-                          audit_reduced_products, desk_nvectors)
+from assoc2.audit import (AuditReport, _add_count_rows, _add_eulerian_rows, _fiber_rank_counts,
+                          audit_fiber_products, audit_reduced_products)
 from assoc2.poset import cd_index
 from assoc2.series import (check_f_closed_form, coefficient, eval_t_minus1,
                            solve_F, solve_f, t_minus1_closed_form)
 from assoc2.trees import count_K, enumerate_Kr, tree_to_text
-from assoc2.twoassoc import enumerate_Wn, face_two_bracketings, trees_of_Kr
-
-# these tests read the desk W_n many times: hold them (see conftest.desk_wn)
-pytestmark = pytest.mark.usefixtures("desk_wn")
+from assoc2.twoassoc import enumerate_Wn, trees_of_Kr
 
 
 def report(num, ok, detail=""):
@@ -42,24 +37,28 @@ def test_criterion_1_K4_fixture(capsys):
         report(1, ok, f"K_4 rank counts (5,5,1), oracles agree, {elapsed:.2f}s < 1s")
 
 
-def test_criterion_2_three_oracle_agreement(capsys):
+def test_criterion_2_three_oracle_agreement(capsys, desk_wn):
+    # audit_counts(n) on each desk W_n of the session, not enumerated again
     t0 = time.monotonic()
     bad = []
-    for n in desk_nvectors():
-        rep = audit_counts(n)
+    for n, P in desk_wn.items():
+        rep = AuditReport()
+        _add_count_rows(rep, n, _fiber_rank_counts(P), max(sum(n), 1))
         bad += rep.failures()
     elapsed = time.monotonic() - t0
     ok = not bad and elapsed < 300
     with capsys.disabled():
-        report(2, ok, f"{len(desk_nvectors())} instances, {len(bad)} disagreements, "
+        report(2, ok, f"{len(desk_wn)} instances, {len(bad)} disagreements, "
                       f"{elapsed:.1f}s < 300s")
 
 
-def test_criterion_3_eulerian(capsys):
+def test_criterion_3_eulerian(capsys, desk_wn):
+    # audit_eulerian(n) on each desk W_n of the session, not enumerated again
     t0 = time.monotonic()
     bad = []
-    for n in desk_nvectors():
-        rep = audit_eulerian(n)
+    for n, P in desk_wn.items():
+        rep = AuditReport()
+        _add_eulerian_rows(rep, n, P.complete_with_min("F^min"))
         bad += rep.failures()
     elapsed = time.monotonic() - t0
     ok = not bad and elapsed < 600
@@ -68,13 +67,13 @@ def test_criterion_3_eulerian(capsys):
                       f"{elapsed:.1f}s < 600s")
 
 
-def test_criterion_4_r1_reduction(capsys):
+def test_criterion_4_r1_reduction(capsys, wn_faces):
     ok = True
     for q in range(1, 9):
         W = enumerate_Wn((q,))
         K = enumerate_Kr(q)
         mapping = {}
-        for lab, tb in face_two_bracketings((q,)):
+        for lab, tb in wn_faces((q,)).items():
             stored = frozenset(
                 (x.extents[0][1], x.extents[0][2]) for x in tb.two_brackets
                 if x.extents[0][0] == "p" and x.extents[0][1] != x.extents[0][2])
@@ -109,7 +108,7 @@ def test_criterion_6_closed_form(capsys):
         report(6, ok, "(2(1+t)f - 1 - tx)^2 = 1 - 4x - 2tx + t^2x^2 to degree 12")
 
 
-def test_criterion_7_fiber_products(capsys):
+def test_criterion_7_fiber_products(capsys, desk_wn):
     rep = audit_fiber_products(r_max=2, k_max=3, weight_max=3)
     ok = rep.passed
     # per-fiber sums equal (-1)^d(T)
@@ -118,7 +117,7 @@ def test_criterion_7_fiber_products(capsys):
         vecs = [n for n in itertools.product(range(4), repeat=r)
                 if any(n) and sum(n) <= 3]
         for n in vecs:
-            P = enumerate_Wn(n)
+            P = desk_wn[n]
             pi = P.meta["pi"]
             sums = {}
             for lab in P.labels:
@@ -138,13 +137,13 @@ def test_criterion_8_reduced_products(capsys):
         report(8, ok, f"closed form and balanced-factor balance on {pairs} factor pairs")
 
 
-def test_criterion_9_cd_index(capsys):
+def test_criterion_9_cd_index(capsys, desk_wn):
     P = enumerate_Kr(4).complete_with_min("0^")
     ok = cd_index(P).terms == {"cc": 1, "d": 3}
     Q = enumerate_Wn((1, 1)).complete_with_min("F^min")
     ok = ok and cd_index(Q).terms == {"c": 1}
-    for n in desk_nvectors():
-        comp = enumerate_Wn(n).complete_with_min("F^min")
+    for W in desk_wn.values():
+        comp = W.complete_with_min("F^min")
         cd = cd_index(comp)  # raises NonEulerianError on a nonzero remainder
         ok = ok and min(cd.terms.values()) >= 0
         span = comp.rank_of(comp.unique_max()) + 1

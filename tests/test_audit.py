@@ -10,9 +10,6 @@ from assoc2.audit import (AuditReport, _forked, audit_counts, audit_eulerian,
 from assoc2.poset import PosetError
 from assoc2.twoassoc import VerificationError
 
-# these tests read the desk W_n many times: hold them (see conftest.desk_wn)
-pytestmark = pytest.mark.usefixtures("desk_wn")
-
 
 def test_audit_counts_11():
     rep = audit_counts((1, 1))

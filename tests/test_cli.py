@@ -212,7 +212,6 @@ def test_cache_dir_flag_is_rejected(tmp_path):
 def _miscount_W(monkeypatch):
     real = twoassoc.count_W
     monkeypatch.setattr(twoassoc, "count_W", lambda *args: real(*args) + 1)
-    monkeypatch.setattr(twoassoc, "_ENUM_CACHE", {})
     return ["wn", "enumerate", "--n", "2,1"], "enumerated "
 
 
@@ -246,7 +245,6 @@ def _reject_face_order(monkeypatch):
             lower[j] ^= 1 << i
         close(self, down, lower)
     monkeypatch.setattr(RankedPoset, "_close", drop_first_cover)
-    monkeypatch.setattr(twoassoc, "_ENUM_CACHE", {})
     return ["wn", "enumerate", "--n", "1,1"], "face order of W_(1, 1): "
 
 
@@ -273,18 +271,6 @@ def test_verification_error_is_one_line_exit_1(breakage, monkeypatch, capsys):
         os.waitpid(-1, os.WNOHANG)  # no audit worker is left behind
 
 
-class _RecordingMemo(weakref.WeakValueDictionary):
-    """An enumeration memo that records each n stored, that is each cold enumeration."""
-
-    def __init__(self):
-        super().__init__()
-        self.stored = []
-
-    def __setitem__(self, n, poset):
-        self.stored.append(n)
-        super().__setitem__(n, poset)
-
-
 def _record_completions(monkeypatch) -> tuple[Counter, list]:
     """Count completions by the n of the completed W_n; keep weak references to both."""
     done, refs = Counter(), []
@@ -301,8 +287,6 @@ def _record_completions(monkeypatch) -> tuple[Counter, list]:
 
 def test_desk_audit_bytes_are_pinned(monkeypatch):
     # the release gate: every row passes, and the report is the one perfbench/workloads.py pins
-    memo = _RecordingMemo()
-    monkeypatch.setattr(twoassoc, "_ENUM_CACHE", memo)
     completed, _ = _record_completions(monkeypatch)
     calls = []
 
@@ -320,10 +304,9 @@ def test_desk_audit_bytes_are_pinned(monkeypatch):
     assert json.loads(out)["summary"] == {"total": 1310, "passed": 1310, "failed": 0}
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "c9374996e23ce2f9d111e219a130a09b7421cbc12b44989cbe964e392d92a702"
-    # one pass per desk n: each W_n is enumerated cold once and completed once here; the
-    # 12 factors of the fiber products are enumerated in the worker, which this memo never sees
-    assert sorted(memo.stored) == sorted(desk_nvectors()) and len(desk_nvectors()) == 59
-    assert completed == Counter(desk_nvectors())
+    # one pass per desk n: each W_n is enumerated once and completed once here; the
+    # 12 factors of the fiber products are enumerated in the worker, which these records never see
+    assert len(desk_nvectors()) == 59 and completed == Counter(desk_nvectors())
     # the command's lane builds K_1..K_8 before its first W_n, so K_8 (its largest poset)
     # is not built on top of what the per-n pass leaves behind
     assert calls == [("enumerate_Kr", r) for r in range(1, 9)] + \
@@ -331,8 +314,6 @@ def test_desk_audit_bytes_are_pinned(monkeypatch):
 
 
 def test_cd_index_call_leaves_no_poset_alive(monkeypatch):
-    memo = weakref.WeakValueDictionary()
-    monkeypatch.setattr(twoassoc, "_ENUM_CACHE", memo)
     completed, refs = _record_completions(monkeypatch)
     enabled = gc.isenabled()
     gc.disable()  # freed by reference counting alone, with no collection pending
@@ -340,7 +321,7 @@ def test_cd_index_call_leaves_no_poset_alive(monkeypatch):
         code, out = run(["cd-index", "--n", "2,1"])
         assert code == 0 and out.startswith("W_(2,1)^: ")
         assert completed == Counter([(2, 1)]) and len(refs) == 2
-        assert [ref() for ref in refs] == [None, None] and len(memo) == 0
+        assert [ref() for ref in refs] == [None, None]
     finally:
         if enabled:
             gc.enable()

@@ -21,9 +21,6 @@ from assoc2.poset import (CdPolynomial, FlagVector, NonEulerianError, PosetError
 from assoc2.trees import all_bracketings, bracketing_to_tree, enumerate_Kr, tree_to_text
 from assoc2.twoassoc import enumerate_Wn
 
-# these tests read the desk W_n many times: hold them (see conftest.desk_wn)
-pytestmark = pytest.mark.usefixtures("desk_wn")
-
 
 def chain(*ranks):
     labs = [f"c{i}" for i in range(len(ranks))]
@@ -313,11 +310,11 @@ def _complete_by_label_covers(P, label):
     return RankedPoset(ranked, covers, P.meta)
 
 
-def test_completion_matches_the_label_cover_construction():
+def test_completion_matches_the_label_cover_construction(desk_wn):
     # new labels that sort first, in the middle and last among bot, m0..m3, top
     cases = [(P, label) for min_rank in (-1, -2) for P in bounded_graded_family(6, min_rank)
              for label in ("0^", "m0x", "zz")]
-    cases += [(enumerate_Wn(n), "F^min") for n in desk_nvectors()]
+    cases += [(P, "F^min") for P in desk_wn.values()]
     cases += [(enumerate_Kr(r), "K^min") for r in range(1, 7)]
     assert len(cases) == 839
     for P, label in cases:
@@ -340,11 +337,11 @@ LATTICE_NVECTORS = [(1, 1), (2, 1), (3, 1), (4, 1), (2, 2), (1, 0, 1), (2, 0, 1)
 
 
 @pytest.mark.parametrize("n", LATTICE_NVECTORS)
-def test_completed_Wn_is_a_lattice(n):
+def test_completed_Wn_is_a_lattice(n, desk_wn):
     # a polytope's face lattice is a lattice; no count oracle is involved.  For an
     # incomparable pair, the lowest layer of the common upper bounds is one element z,
     # and every common upper bound lies above z
-    P = enumerate_Wn(n).complete_with_min("F^min")
+    P = desk_wn[n].complete_with_min("F^min")
     up, down = [u << i for i, u in enumerate(P._up)], P._down
     layers = [m for _, m in P._rank_masks]
     for i in range(len(P)):
@@ -453,10 +450,10 @@ def test_mobius_value_classes_match_the_per_element_rows():
             == _per_element_mobius_row(P, i, P._up[i] << i)[j]
 
 
-def test_mobius_failures_match_the_per_element_sweep_on_completed_wn():
-    for n in desk_nvectors() + [(3, 0, 2)]:
-        P = enumerate_Wn(n).complete_with_min("F^min")
-        assert P.mobius_failures() == _per_element_mobius_failures(P) == [], n
+def test_mobius_failures_match_the_per_element_sweep_on_completed_wn(desk_wn):
+    for W in [*desk_wn.values(), enumerate_Wn((3, 0, 2))]:
+        P = W.complete_with_min("F^min")
+        assert P.mobius_failures() == _per_element_mobius_failures(P) == [], W.meta["n"]
 
 
 def test_reduced_product_two_chains():
@@ -643,16 +640,17 @@ def _fiber_product_by_direct_covers(posets, base, maps):
     return RankedPoset(ranked, covers)
 
 
-def _W_fiber_family(r, k, weight_max):
+def _W_fiber_family(r, k, weight_max, desk_wn):
     """audit_fiber_products' products over K_r with k factors of weight <= weight_max,
-    as it built them: each factor relabeled with an "idx:" prefix; ms comes first."""
+    as it built them: each factor, a desk W_n, relabeled with an "idx:" prefix; ms
+    comes first."""
     K = enumerate_Kr(r)
     vecs = [n for n in itertools.product(range(weight_max + 1), repeat=r)
             if any(n) and sum(n) <= weight_max]
     for ms in itertools.combinations_with_replacement(vecs, k):
         posets, maps = [], []
         for idx, m in enumerate(ms):
-            W = enumerate_Wn(m)
+            W = desk_wn[m]
             rename = {lab: f"{idx}:{lab}" for lab in W.labels}
             posets.append(W.relabel(rename))
             maps.append({rename[lab]: t for lab, t in W.meta["pi"].items()})
@@ -664,9 +662,9 @@ def _W_fiber_family(r, k, weight_max):
     (2, 3, _fiber_product_by_direct_covers),
     (3, 2, _fiber_product_by_order),
 ], ids=["K1-direct-covers", "K2-direct-covers", "K3-order"])
-def test_fiber_product_matches_the_constructions_it_replaced(r, weight_max, reference):
+def test_fiber_product_matches_the_constructions_it_replaced(r, weight_max, reference, desk_wn):
     n_products = 0
-    for _, posets, K, maps in _W_fiber_family(r, 2, weight_max):
+    for _, posets, K, maps in _W_fiber_family(r, 2, weight_max, desk_wn):
         FP, ref = fiber_product(posets, K, maps), reference(posets, K, maps)
         assert FP.labels == ref.labels and FP.ranks == ref.ranks
         assert FP.cover_pairs == ref.cover_pairs and FP._up == ref._up
@@ -674,8 +672,8 @@ def test_fiber_product_matches_the_constructions_it_replaced(r, weight_max, refe
     assert n_products == {1: 6, 2: 45, 3: 45}[r]
 
 
-def test_the_audit_fiber_family_needs_no_relabeling(monkeypatch):
-    # each memoized W_n goes to fiber_product as it is; the relabeled construction
+def test_the_audit_fiber_family_needs_no_relabeling(monkeypatch, desk_wn):
+    # each W_n goes to fiber_product as it is; the relabeled construction
     # with an "idx:" prefix per factor gives the same poset up to that prefix
     def name(tup, prefixed):  # a one-factor product is the factor itself
         parts = [f"{c}:{x}" if prefixed else x for c, x in enumerate(tup)]
@@ -684,8 +682,8 @@ def test_the_audit_fiber_family_needs_no_relabeling(monkeypatch):
     n_products = 0
     for r in (1, 2):
         for k in (1, 2, 3):
-            for ms, posets, K, maps in _W_fiber_family(r, k, 3):
-                plain = [enumerate_Wn(m) for m in ms]
+            for ms, posets, K, maps in _W_fiber_family(r, k, 3, desk_wn):
+                plain = [desk_wn[m] for m in ms]
                 pis = [W.meta["pi"] for W in plain]
                 FP, ref = fiber_product(plain, K, pis), fiber_product(posets, K, maps)
                 iso = {name(tup, True): name(tup, False)
@@ -863,7 +861,7 @@ def _eager_close(labels, ranks, cover_pairs, down=None):
 def eager_checked(monkeypatch):
     """Check each poset built in the test against _eager_close on the covers and
     down-sets its _close was given or read; yields the sizes of the posets checked.
-    The W_n memo starts empty, so every W_n is built and checked afresh."""
+    Every W_n is built and checked afresh."""
     close, sizes = RankedPoset._close, []
 
     def checked_close(self, down=None, lower=None):
@@ -877,7 +875,6 @@ def eager_checked(monkeypatch):
         assert got == _eager_close(self.labels, self.ranks, cover_pairs, down), self.labels[:4]
         sizes.append(len(self))
     monkeypatch.setattr(RankedPoset, "_close", checked_close)
-    monkeypatch.setattr(twoassoc, "_ENUM_CACHE", {})
     return sizes
 
 
@@ -906,9 +903,10 @@ def test_desk_fiber_products_derive_what_the_eager_closure_stored(eager_checked)
     for r in (1, 2):
         K = enumerate_Kr(r)
         vecs = [n for n in itertools.product(range(4), repeat=r) if any(n) and sum(n) <= 3]
+        factors = {m: enumerate_Wn(m) for m in vecs}
         for k in (1, 2, 3):
             for ms in itertools.combinations_with_replacement(vecs, k):
-                posets = [enumerate_Wn(m) for m in ms]
+                posets = [factors[m] for m in ms]
                 built = len(eager_checked)
                 fiber_product(posets, K, [W.meta["pi"] for W in posets])
                 assert len(eager_checked) == built + (k > 1)
@@ -925,9 +923,8 @@ def test_reduced_products_derive_what_the_eager_closure_stored(eager_checked):
     assert len(eager_checked) == built + 300
 
 
-def test_built_posets_derive_up_rows_and_covers_only_when_read(monkeypatch):
+def test_built_posets_derive_up_rows_and_covers_only_when_read():
     # the reason a poset keeps one row set: most are never swept or exported
-    monkeypatch.setattr(twoassoc, "_ENUM_CACHE", {})
     W = enumerate_Wn((2, 1))
     FP = fiber_product([W, W], enumerate_Kr(2), [W.meta["pi"]] * 2)
     completed = W.complete_with_min("F^min")

@@ -359,6 +359,10 @@ def test_coefficient_rejects_a_vector_of_the_wrong_shape(n):
     F = solve_F(trees_of_Kr(3)[0], 4)
     with pytest.raises(ValueError, match=re.escape(f"exponent {n}") + ".*var_count = 3"):
         coefficient(F, 1, n)
+    # nor may a series hold one: a product files each term in the layer of its total
+    # degree, so x^-1 would land in the top layer (x * x^-1 read 0)
+    with pytest.raises(ValueError, match=re.escape(f"exponent {n}") + ".*var_count = 3"):
+        TruncatedSeries(3, 4, {n: LP_ONE})
     with pytest.raises(ValueError):
         count_W(trees_of_Kr(3)[0], 1, n)
 

@@ -101,7 +101,7 @@ def test_the_generator_shares_no_code_with_validation_or_the_recurrence():
         assert "_gen_fiber" in reached and reached & checker == set(), name
 
 
-def test_enumeration_leaves_no_validation_state_behind(monkeypatch):
+def test_enumeration_leaves_no_validation_state_behind():
     # the validation memo lives for one enumerate_Wn or validate_two_bracketing call:
     # the table gains and changes no field, and no helper keeps a process-wide cache;
     # the generator's screens memo goes with its enumeration too, so once W_n is
@@ -109,20 +109,20 @@ def test_enumeration_leaves_no_validation_state_behind(monkeypatch):
     n = (2, 1)
     table = _table(n)
     before = copy.deepcopy(vars(table))
-    monkeypatch.setattr(twoassoc, "_ENUM_CACHE", weakref.WeakValueDictionary())
     gc.collect()
     enabled = gc.isenabled()
     gc.disable()  # freed by reference counting alone, with no collection pending
     try:
         P = enumerate_Wn(n)
         assert sum(1 for _face in face_two_bracketings(n)) == len(P)
+        gone = weakref.ref(P)
         del P
         assert validate_two_bracketing(top_element(n))
         # the tables' own 2-brackets, and the copies of one table's kept in `before`
         owned = {id(x) for ids in [before["ids"], *(t.ids for t in twoassoc._TABLES.values())]
                  for x in ids}
         stray = [str(x) for x in gc.get_objects() if type(x) is TwoBracket and id(x) not in owned]
-        assert len(twoassoc._ENUM_CACHE) == 0 and stray == []
+        assert gone() is None and stray == []
     finally:
         if enabled:
             gc.enable()
@@ -130,6 +130,35 @@ def test_enumeration_leaves_no_validation_state_behind(monkeypatch):
     for name in ("validate_two_bracketing", "_valid_face", "_bracketing_frame", "_node_ok",
                  "_decide_node", "_stack_ok", "_stack_ordered"):
         assert not hasattr(getattr(twoassoc, name), "__wrapped__"), name
+
+
+_MAPPINGS = {"dict", "defaultdict", "OrderedDict", "Counter", "ChainMap",
+             "WeakValueDictionary", "WeakKeyDictionary"}
+
+
+def test_the_two_bracket_tables_are_the_only_module_level_mapping():
+    # enumerate_Wn keeps no W_n between calls and nothing holds one for it: no module
+    # imports weakref, and no module-level name but _TABLES is bound to a mapping
+    imports, mappings = [], []
+    for path in sorted(Path(assoc2.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        imports += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                    if (isinstance(node, ast.Import)
+                        and any(alias.name == "weakref" for alias in node.names))
+                    or (isinstance(node, ast.ImportFrom) and node.module == "weakref")]
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets, value = node.targets, node.value
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets, value = [node.target], node.value
+            else:
+                continue
+            func = value.func if isinstance(value, ast.Call) else None
+            called = getattr(func, "id", None) or getattr(func, "attr", None)
+            if isinstance(value, (ast.Dict, ast.DictComp)) or called in _MAPPINGS:
+                mappings += [f"{path.name}:{t.id}" for t in targets if isinstance(t, ast.Name)]
+    assert imports == []
+    assert mappings == ["twoassoc.py:_TABLES"]
 
 
 def _reached(used: dict[str, set[str]], name: str) -> set[str]:

@@ -1,5 +1,4 @@
 import dataclasses
-import gc
 import itertools
 import math
 import pickle
@@ -7,7 +6,6 @@ import random
 import sys
 import threading
 import time
-import weakref
 from functools import cache, cmp_to_key
 
 import pytest
@@ -27,8 +25,10 @@ from assoc2.twoassoc import (SearchSpaceError, TwoBracket, TwoBracketing, Verifi
                              tb_compatible, tb_inside, top_element, top_rank, trees_of_Kr,
                              validate_two_bracketing)
 
-# these tests read the desk W_n many times: hold them (see conftest.desk_wn)
-pytestmark = pytest.mark.usefixtures("desk_wn")
+
+def _wn(desk_wn, n):
+    """W_n: the session's poset for a desk n, else a fresh enumeration."""
+    return desk_wn[n] if n in desk_wn else enumerate_Wn(n)
 
 
 def test_check_nvector():
@@ -122,53 +122,10 @@ def test_enumerate_rank_counts(n, expect):
     assert enumerate_Wn(n).rank_counts() == expect
 
 
-def test_enumerate_respects_element_bound(monkeypatch):
-    monkeypatch.setattr(twoassoc, "_ENUM_CACHE", {})
+def test_enumerate_respects_element_bound():
     with pytest.raises(SearchSpaceError):
         enumerate_Wn((2, 1), max_elements=5)
-    P = enumerate_Wn((2, 1))
-    # a memo hit checks the bound against the poset's own size, not the count oracle
-    monkeypatch.setattr(twoassoc, "count_W", None)
-    with pytest.raises(SearchSpaceError, match="17 faces"):
-        enumerate_Wn((2, 1), max_elements=5)
-    assert enumerate_Wn((2, 1), max_elements=17) is P
-
-
-def test_the_memo_shares_a_held_W_n_and_forgets_a_dropped_one(monkeypatch):
-    assert isinstance(twoassoc._ENUM_CACHE, weakref.WeakValueDictionary)
-    memo = weakref.WeakValueDictionary()
-    monkeypatch.setattr(twoassoc, "_ENUM_CACHE", memo)
-    enabled = gc.isenabled()
-    gc.disable()  # the memo must let go by reference counting alone
-    try:
-        P = enumerate_Wn((2, 1))
-        assert enumerate_Wn((2, 1)) is P and list(memo) == [(2, 1)]
-        gone = weakref.ref(P)
-        del P
-        assert gone() is None and len(memo) == 0
-        Q = enumerate_Wn((2, 1))
-        assert list(memo) == [(2, 1)] and Q.rank_counts() == {0: 8, 1: 8, 2: 1}
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def test_face_two_bracketings_holds_W_n_while_it_runs(monkeypatch):
-    class Recording(weakref.WeakValueDictionary):
-        def __setitem__(self, n, poset):
-            cold.append(n)
-            super().__setitem__(n, poset)
-    cold = []
-    monkeypatch.setattr(twoassoc, "_ENUM_CACHE", Recording())
-    enabled = gc.isenabled()
-    gc.disable()  # only the generator's own reference keeps W_n in the memo
-    try:
-        labels = [lab for lab, _tb in face_two_bracketings((2, 1))
-                  if lab in enumerate_Wn((2, 1)).labels]
-    finally:
-        if enabled:
-            gc.enable()
-    assert len(labels) == 17 and cold == [(2, 1)]
+    assert len(enumerate_Wn((2, 1), max_elements=17)) == 17
 
 
 class _Counted(Exception):
@@ -176,11 +133,11 @@ class _Counted(Exception):
 
 
 @pytest.mark.parametrize("n", desk_nvectors() + [(3, 0, 2), (9,)], ids=str)
-def test_the_lower_bounds_on_the_size_of_W_n_hold(n, monkeypatch):
+def test_the_lower_bounds_on_the_size_of_W_n_hold(n, monkeypatch, desk_wn):
     # enumerate_Wn refuses from |K_r|, each |K_(n_i)| and |n|! / prod_i n_i! before counting
     def size_K(q):
         return sum(count_K(m, q) for m in range(max(q - 1, 1)))
-    P = enumerate_Wn(n)
+    P = _wn(desk_wn, n)
     fibers: dict[str, int] = {}
     for lab in P.labels:
         fibers[P.meta["pi"][lab]] = fibers.get(P.meta["pi"][lab], 0) + 1
@@ -189,7 +146,6 @@ def test_the_lower_bounds_on_the_size_of_W_n_hold(n, monkeypatch):
     assert all(over_corolla >= size_K(v) for v in n if v)
     assert over_corolla >= math.factorial(sum(n)) // math.prod(map(math.factorial, n))
 
-    monkeypatch.setattr(twoassoc, "_ENUM_CACHE", {})
     with pytest.raises(SearchSpaceError):
         enumerate_Wn(n, max_elements=len(P) - 1)
 
@@ -590,8 +546,8 @@ def _perturbed(n, faces, sample, rng):
 
 
 @pytest.mark.parametrize("n", desk_nvectors() + [(3, 0, 2)], ids=str)
-def test_table_validation_matches_the_object_predicate(n, monkeypatch):
-    faces = sorted((tb for _, tb in face_two_bracketings(n)), key=TwoBracketing.label)
+def test_table_validation_matches_the_object_predicate(n, monkeypatch, wn_faces):
+    faces = sorted(wn_faces(n).values(), key=TwoBracketing.label)
     rng = random.Random(f"perturb {n}")
     cands = _perturbed(n, faces, rng.sample(faces, min(len(faces), 40)), rng)
     expected = [_object_validate(tb) for tb in cands]
@@ -655,10 +611,10 @@ def _object_label(tb):
 
 
 @pytest.mark.parametrize("n", desk_nvectors() + [(3, 0, 2)], ids=str)
-def test_table_labels_match_the_object_label(n, monkeypatch):
-    P = enumerate_Wn(n)
+def test_table_labels_match_the_object_label(n, monkeypatch, desk_wn, wn_faces):
+    P = _wn(desk_wn, n)
     labels = list(P.labels)
-    objs = dict(face_two_bracketings(n))
+    objs = wn_faces(n)
     assert len(objs) == len(labels)  # one object per face, each under its own label
     faces = [objs[lab] for lab in labels]
     assert [_object_label(tb) for tb in faces] == labels
@@ -666,14 +622,13 @@ def test_table_labels_match_the_object_label(n, monkeypatch):
     # a fresh table first used in the opposite order gives the same labels
     monkeypatch.setattr(twoassoc, "_TABLES", {})
     assert [tb.label() for tb in reversed(faces)] == labels[::-1]
-    monkeypatch.setattr(twoassoc, "_ENUM_CACHE", {})
     assert enumerate_Wn(n).labels == P.labels
 
 
 @pytest.mark.parametrize("n", desk_nvectors(), ids=str)
-def test_mask_covers_match_the_object_order(n):
-    P = enumerate_Wn(n)
-    objects = dict(face_two_bracketings(n))
+def test_mask_covers_match_the_object_order(n, desk_wn, wn_faces):
+    P = desk_wn[n]
+    objects = wn_faces(n)
 
     def leq(x, y):  # the order as from_order probed it, on every pair
         a, b = objects[x], objects[y]
@@ -705,7 +660,6 @@ def test_a_dropped_cover_is_a_verification_error(monkeypatch):
             lower[j] ^= 1 << i
         close(self, down, lower)
     monkeypatch.setattr(RankedPoset, "_close", drop_last_cover)
-    monkeypatch.setattr(twoassoc, "_ENUM_CACHE", {})
     with pytest.raises(VerificationError, match=r"^face order of W_\(2, 1\): order is not"):
         enumerate_Wn((2, 1))
 
@@ -761,7 +715,6 @@ def test_enumeration_interns_each_reference_once_and_builds_no_face_object(monke
 
     references = sum(len(fs) for tree in trees_of_Kr(len(n))
                      for fs, _d in _gen_fiber(tree, n, 0, (0,) * len(n), {}))
-    monkeypatch.setattr(twoassoc, "_ENUM_CACHE", {})
     monkeypatch.setattr(_TwoBracketTable, "intern", counted_intern)
     monkeypatch.setattr(TwoBracketing, "__init__", counted_init)
     P = enumerate_Wn(n)
@@ -878,10 +831,10 @@ _MIRROR_NS = [(2, 1), (1, 2), (3, 1), (2, 1, 1), (1, 0, 2), (0, 2, 1), (3, 2), (
 
 
 @pytest.mark.parametrize("n", _MIRROR_NS)
-def test_line_reflection_is_a_poset_isomorphism(n):
+def test_line_reflection_is_a_poset_isomorphism(n, desk_wn, wn_faces):
     # checks the order relation itself, independently of every count oracle
-    P, Q = enumerate_Wn(n), enumerate_Wn(n[::-1])
-    objs = dict(face_two_bracketings(n))
+    P, Q = _wn(desk_wn, n), _wn(desk_wn, n[::-1])
+    objs = wn_faces(n)
     image = {lab: _reflect_lines(objs[lab]).label() for lab in P.labels}
     assert sorted(image.values()) == sorted(Q.labels)
     assert all(P.rank_of(lab) == Q.rank_of(image[lab]) for lab in P.labels)
@@ -901,10 +854,10 @@ def _flip_vertical(tb):
 
 
 @pytest.mark.parametrize("n", _MIRROR_NS)
-def test_vertical_flip_is_a_poset_automorphism(n):
+def test_vertical_flip_is_a_poset_automorphism(n, desk_wn, wn_faces):
     # like the line reflection, this checks the order relation and no count
-    P = enumerate_Wn(n)
-    objs = dict(face_two_bracketings(n))
+    P = _wn(desk_wn, n)
+    objs = wn_faces(n)
     image = {lab: _flip_vertical(objs[lab]).label() for lab in P.labels}
     assert sorted(image.values()) == sorted(P.labels)
     assert any(image[lab] != lab for lab in P.labels)
@@ -1106,14 +1059,14 @@ def test_brute_force_matches_enumeration(n):
 
 
 @pytest.mark.parametrize("n", [(1, 1), (2, 1), (1, 1, 1), (2, 2)])
-def test_antichain_stacks_are_facets(n):
+def test_antichain_stacks_are_facets(n, desk_wn, wn_faces):
     """No removable brackets + an antichain of full-width removable 2-brackets
     forces codimension exactly 1 (the unfused-seams dimension count)."""
     from assoc2.twoassoc import tb_inside, top_rank
-    P = enumerate_Wn(n)
+    P = desk_wn[n]
     r = len(n)
     seen = 0
-    for lab, tb in face_two_bracketings(n):
+    for lab, tb in wn_faces(n).items():
         rem_b, rem_2b = removables(tb)
         if rem_b or not rem_2b:
             continue
